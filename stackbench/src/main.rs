@@ -300,15 +300,11 @@ impl Report {
     }
 }
 
-/// Completion rate of a closed loop that measured whole rounds of
-/// `round` requests: `round` over the median round duration, where a
-/// round lasts from the previous round's last completion to its own. The
-/// median keeps a burst of interference on a shared host to one round.
-fn round_rate(phase: &Phase, round: usize) -> f64 {
+/// Durations in seconds of the whole rounds of `round` requests a closed
+/// loop measured, where a round lasts from the previous round's last
+/// completion to its own.
+fn round_durations(phase: &Phase, round: usize) -> Vec<f64> {
     let rounds = phase.samples.len() / round;
-    if rounds == 0 {
-        return phase.rps();
-    }
     let mut ends = vec![0.0f64; rounds];
     for s in &phase.samples {
         if let Some(end) = ends.get_mut(s.idx / round) {
@@ -316,14 +312,23 @@ fn round_rate(phase: &Phase, round: usize) -> f64 {
         }
     }
     let mut previous = 0.0;
-    let durations: Vec<f64> = ends
-        .into_iter()
+    ends.into_iter()
         .map(|end| {
             let duration = (end - previous).max(1e-6);
             previous = previous.max(end);
             duration
         })
-        .collect();
+        .collect()
+}
+
+/// Completion rate of a closed loop that measured whole rounds of
+/// `round` requests: `round` over the median round duration. The median
+/// keeps a burst of interference on a shared host to one round.
+fn round_rate(phase: &Phase, round: usize) -> f64 {
+    let durations = round_durations(phase, round);
+    if durations.is_empty() {
+        return phase.rps();
+    }
     round as f64 / stats::median(&durations)
 }
 
@@ -909,6 +914,15 @@ const SATURATION_ROUNDS: usize = 1000;
 /// moves one sub-phase, not the run.
 const SUB_PHASES: usize = 5;
 
+/// Shares of `--seconds` for the fixed-rate phase, the ladder and the
+/// saturation phase. The saturation rate follows the host's speed from
+/// one second to the next, so only many rounds spread over the whole run
+/// give a median that holds from run to run. The ladder only has to show
+/// that each offered rate is met.
+const FIXED_SHARE: f64 = 0.45;
+const LADDER_SHARE: f64 = 0.1;
+const SATURATION_SHARE: f64 = 0.45;
+
 /// The seeded `warm_hits` traffic: fixed-rate schedules (one per
 /// sub-phase, each timed from its own start), ladder schedules, and the
 /// saturation phase's request order.
@@ -920,11 +934,11 @@ struct WarmPlan {
 
 fn warm_plan(seed: u64, seconds: f64, jobs: &[Req]) -> WarmPlan {
     let mut rng = ChaCha8Rng::seed_from_u64(mix(seed, "warm_hits"));
-    let slice = seconds * 0.45 / SUB_PHASES as f64;
+    let slice = seconds * FIXED_SHARE / SUB_PHASES as f64;
     let fixed = (0..SUB_PHASES)
         .map(|_| load::poisson(WARM_FIXED_RPS, slice, jobs.len(), &mut rng))
         .collect();
-    let step = seconds * 0.35 / WARM_LADDER_RPS.len() as f64;
+    let step = seconds * LADDER_SHARE / WARM_LADDER_RPS.len() as f64;
     let ladder = WARM_LADDER_RPS
         .iter()
         .map(|&rate| load::poisson(rate, step, jobs.len(), &mut rng))
@@ -945,7 +959,8 @@ fn warm_plan(seed: u64, seconds: f64, jobs: &[Req]) -> WarmPlan {
 /// serves one fixed-rate sub-phase and one saturation sub-phase (the
 /// first also serves the ladder), reports its counters and stops. A
 /// fleet's thread placement on a shared two-core host can hold its rates
-/// 20% off for its whole life, so rates and p50 are medians across fleets.
+/// 20% off for its whole life, so p50 is a median across fleets and the
+/// rate a median over the rounds of all fleets.
 struct Episode {
     warm: Phase,
     fixed: Phase,
@@ -1002,7 +1017,7 @@ fn episode(k: usize, jobs: &[Req], plan: &WarmPlan, seconds: f64) -> Res<Episode
             .collect(),
         _ => Vec::new(),
     };
-    let length = Duration::from_secs_f64(seconds * 0.2 / SUB_PHASES as f64);
+    let length = Duration::from_secs_f64(seconds * SATURATION_SHARE / SUB_PHASES as f64);
     let saturation = load::closed_loop(entry, &plan.saturation, length, jobs.len(), &|_| false);
     let cpu_s = stats::process_cpu_s() - cpu0;
     let served = served_counters(&fleet);
@@ -1102,11 +1117,24 @@ fn warm_hits(args: &Args) -> Res<Report> {
         .map(|e| round_rate(&e.saturation, jobs.len()))
         .collect();
     eprintln!("saturation rates per fleet: {rates:.0?}");
+    // The rate over the median of every fleet's rounds pooled: a slow
+    // stretch of the host moves the rounds it covers, not the run.
+    let rounds: Vec<f64> = episodes
+        .iter()
+        .flat_map(|e| round_durations(&e.saturation, jobs.len()))
+        .collect();
     report.end_to_end(EndToEnd {
         setup_s: per_fleet(&|e| e.setup_s),
-        throughput_rps: stats::median(&rates),
+        throughput_rps: jobs.len() as f64 / stats::median(&rounds),
         latency_p50_ms: per_fleet(&|e| grouped_p50_ms(&e.fixed, |_| 0)),
-        latency: episodes.iter().flat_map(|e| &e.fixed.samples).collect(),
+        // p99 over the closed loop, as on the other workloads. At the
+        // fixed rate p99 falls among the few samples of the slowest jobs
+        // and queues behind the host's stalls: it moved between 5 and
+        // 15 ms from run to run, past any bound.
+        latency: episodes
+            .iter()
+            .flat_map(|e| &e.saturation.samples)
+            .collect(),
         fail_ms: args.seconds * 1e3,
         slo_rps,
         cpu_s: episodes.iter().map(|e| e.cpu_s).sum(),
