@@ -5,42 +5,46 @@
 # works fully offline. Steps, in CI order:
 #
 #   1. cargo build --release            release build, locked deps
-#   2. cargo test  --workspace -q       every crate's unit + integration tests
-#   3. cargo fmt   --check              formatting gate
-#   4. cargo clippy -- -D warnings      lint gate (all targets, all crates)
-#   5. serve smoke test                 boot daemon, compile a GHZ, compile a
+#   2. cargo check stackbench           the repo benchmark is its own
+#                                       workspace over crates/*: a public
+#                                       API change that breaks it fails
+#                                       here, not when the benchmark runs
+#   3. cargo test  --workspace -q       every crate's unit + integration tests
+#   4. cargo fmt   --check              formatting gate
+#   5. cargo clippy -- -D warnings      lint gate (all targets, all crates)
+#   6. serve smoke test                 boot daemon, compile a GHZ, compile a
 #                                       QFT on a movement-based dpqa: device,
 #                                       check --list-devices and stats
-#   6. serve chaos test                 fault injection, hostile frames,
+#   7. serve chaos test                 fault injection, hostile frames,
 #                                       degraded-device sweep
-#   7. persist smoke test               fill cache, kill -9, restart warm,
+#   8. persist smoke test               fill cache, kill -9, restart warm,
 #                                       byte-identical responses
-#   8. shard smoke test                 router + 3 shards: suite through the
+#   9. shard smoke test                 router + 3 shards: suite through the
 #                                       router, per-shard cache locality,
 #                                       kill -9 one shard with zero failed
 #                                       requests
-#   9. portfolio smoke test             auto-strategy compile, tight-deadline
+#  10. portfolio smoke test             auto-strategy compile, tight-deadline
 #                                       degradation to a verified
 #                                       trivial/trivial result, forced --race,
 #                                       portfolio stats counters
-#  10. semantic-cache smoke test        offline --canonical-digest twins,
+#  11. semantic-cache smoke test        offline --canonical-digest twins,
 #                                       then compile + renamed/reordered
 #                                       twin served as a canonical hit
-#  11. fleet chaos test                 supervised 3-shard fleet under seeded
+#  12. fleet chaos test                 supervised 3-shard fleet under seeded
 #                                       transport faults: two SIGKILLs and a
 #                                       SIGSTOP under closed-loop load lose
 #                                       zero requests, killed shards restart
 #                                       warm from their WAL, zero-budget
 #                                       requests are rejected up front, and
 #                                       SIGTERM drains the fleet cleanly
-#  12. benchmark regression gate        fresh bench_baseline run vs the
+#  13. benchmark regression gate        fresh bench_baseline run vs the
 #                                       committed BENCH_*.json (mapper incl.
 #                                       portfolio selector/race counters, sim
 #                                       and dpqa movement sweeps): work
 #                                       counters exact, wall times within
 #                                       QCS_BENCH_WALL_BUDGET (default 4x,
 #                                       0 disables)
-#  13. serving regression gate          fresh bench_load run vs the committed
+#  14. serving regression gate          fresh bench_load run vs the committed
 #                                       BENCH_serve.json: routing/cache,
 #                                       resilience and semantic (canonical
 #                                       vs exact keying) counters exact,
@@ -53,6 +57,9 @@ echo "==> cargo build --release"
 # `cargo build` would skip member binaries (bench_baseline, bench_load,
 # qcs-serve, qcs-router, qcs-client) that later steps execute.
 cargo build --release --workspace --locked
+
+echo "==> cargo check stackbench"
+cargo check --offline --locked --manifest-path stackbench/Cargo.toml
 
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q

@@ -11,10 +11,12 @@
 //!
 //! The trait deliberately keeps the fixed-coupler *verification view*:
 //! every backend exposes an inner [`Device`] that independent checking
-//! ([`crate::verify`]) and health degradation run against, and `map`
-//! returns the same [`MapOutcome`]/[`LadderError`] pair the fallback
-//! ladder produces, so callers cannot tell (and need not care) which
-//! physics served them beyond the report's counters.
+//! ([`crate::verify`]) and health degradation run against. A backend
+//! only lists its degradation order ([`Backend::rungs`]); the one
+//! [`Walker`] runs it, so `map` returns the same
+//! [`MapOutcome`]/[`LadderError`] pair on every backend and callers
+//! cannot tell (and need not care) which physics served them beyond
+//! the report's counters.
 
 use std::sync::Arc;
 
@@ -23,13 +25,13 @@ use qcs_topology::device::{Device, DeviceError};
 use qcs_topology::health::DeviceHealth;
 
 use crate::config::MapperConfig;
-use crate::ladder::{FallbackLadder, LadderError};
+use crate::ladder::{FallbackLadder, LadderError, Rung, Walker};
 use crate::mapper::MapOutcome;
 
 /// A compilation target: something a circuit can be mapped onto.
 ///
-/// Implementations own their full compile pipeline (placement, routing
-/// or movement scheduling, verification, fallback) and report through
+/// Implementations describe their compile pipeline (placement, routing
+/// or movement scheduling) as a list of [`Rung`]s and report through
 /// the standard [`MapOutcome`]. The serving tier holds backends as
 /// `Arc<dyn Backend>` and keys its caches on [`Backend::id`], so the id
 /// must be deterministic for a given spec and distinct across specs
@@ -49,33 +51,25 @@ pub trait Backend: Send + Sync {
     /// sites, not a physical coupler map.
     fn device(&self) -> &Device;
 
+    /// This target's degradation order for `config`, most preferred
+    /// first: rung 0 runs the requested pipeline, each later rung is a
+    /// more robust fallback. [`Backend::map`] walks them all; a racing
+    /// portfolio lane ([`crate::portfolio`]) walks rung 0 alone, so a
+    /// failing lane is genuinely discarded (and another lane's result
+    /// kept) instead of being silently demoted inside the backend.
+    fn rungs(&self, config: &MapperConfig) -> Vec<Rung<'_>>;
+
     /// Compiles `circuit` for this target with the requested strategy
-    /// pipeline, falling back per the backend's own ladder.
+    /// pipeline, walking [`Backend::rungs`] until one verifies.
     ///
     /// # Errors
     ///
     /// [`LadderError`] when every rung failed or the job is
     /// unsatisfiable on the target.
-    fn map(&self, circuit: &Circuit, config: &MapperConfig) -> Result<MapOutcome, LadderError>;
-
-    /// Compiles `circuit` with *exactly* the given pipeline — no
-    /// internal fallback chain — verification on. The racing
-    /// portfolio ([`crate::portfolio`]) runs its lanes through this
-    /// so a failing lane is genuinely discarded (and another lane's
-    /// result kept) instead of being silently demoted inside the
-    /// backend; the default forwards to [`Backend::map`] for
-    /// backends whose physics has no per-strategy ladder to bypass.
-    ///
-    /// # Errors
-    ///
-    /// [`LadderError`] when the pipeline failed, did not verify, or
-    /// found the job unsatisfiable on the target.
-    fn map_single(
-        &self,
-        circuit: &Circuit,
-        config: &MapperConfig,
-    ) -> Result<MapOutcome, LadderError> {
-        self.map(circuit, config)
+    fn map(&self, circuit: &Circuit, config: &MapperConfig) -> Result<MapOutcome, LadderError> {
+        Walker::default()
+            .walk(circuit, self.device(), self.rungs(config))
+            .map(|(outcome, ())| outcome)
     }
 
     /// A new backend of the same physics with the health overlay
@@ -91,7 +85,7 @@ pub trait Backend: Send + Sync {
 }
 
 /// The classic fixed-coupler backend: SWAP routing over a static
-/// coupling graph, served through [`FallbackLadder::standard`].
+/// coupling graph, its rungs the [`FallbackLadder::standard`] chain.
 ///
 /// This is a thin adapter — it is exactly the pre-trait daemon path
 /// (place → route → schedule → verify with fallback), packaged behind
@@ -137,22 +131,8 @@ impl Backend for CoupledBackend {
         &self.device
     }
 
-    fn map(&self, circuit: &Circuit, config: &MapperConfig) -> Result<MapOutcome, LadderError> {
-        if crate::portfolio::is_auto(config) {
-            let backend: Arc<dyn Backend> = Arc::new(self.clone());
-            return crate::portfolio::Portfolio::default()
-                .map(circuit, &backend, None)
-                .map(|(outcome, _)| outcome);
-        }
-        FallbackLadder::standard(config.clone()).map(circuit, &self.device)
-    }
-
-    fn map_single(
-        &self,
-        circuit: &Circuit,
-        config: &MapperConfig,
-    ) -> Result<MapOutcome, LadderError> {
-        FallbackLadder::new(vec![config.clone()]).map(circuit, &self.device)
+    fn rungs(&self, config: &MapperConfig) -> Vec<Rung<'_>> {
+        FallbackLadder::standard(config.clone()).swap_rungs()
     }
 
     fn degrade(&self, health: &DeviceHealth) -> Result<Arc<dyn Backend>, DeviceError> {

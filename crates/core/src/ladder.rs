@@ -1,23 +1,31 @@
-//! Graceful strategy degradation: the fallback ladder.
+//! Graceful strategy degradation: one rung list, one walker.
 //!
-//! A single flaky placement or routing strategy should cost a request
-//! its *optimality*, never its *answer*. [`FallbackLadder`] wraps an
-//! ordered chain of [`MapperConfig`] rungs — typically the requested
-//! pipeline, then `sabre`, then `subgraph`, then `trivial` — and runs
-//! them in order until one produces a result that also passes
+//! A single flaky placement, routing or movement strategy should cost a
+//! request its *optimality*, never its *answer*. Every degradation
+//! order in the workspace is a list of [`Rung`]s walked by
+//! [`Walker::walk`]: the fixed-coupler chain ([`FallbackLadder`]), the
+//! DPQA backend's movement → SWAP demotion, each portfolio lane (a walk
+//! of one rung) and the portfolio's last resort. The walker runs the
+//! rungs in order until one produces a result that also passes
 //! independent verification ([`crate::verify`]). A rung is demoted on:
 //!
-//! * a structured [`MapError`] (including injected failpoint errors),
-//! * a **panic** anywhere in that rung's pipeline (caught with
-//!   `catch_unwind`; the ladder's data is all freshly owned per rung, so
-//!   unwinding cannot leave shared state behind), or
-//! * a [`VerifyError`] from post-compilation verification.
+//! * an error from its compile step (including injected failpoint
+//!   errors),
+//! * a **panic** anywhere in that step (caught with `catch_unwind`;
+//!   everything a rung touches is freshly owned by it, so unwinding
+//!   cannot leave shared state behind), or
+//! * a [`VerifyError`](crate::verify::VerifyError) from
+//!   post-compilation verification.
 //!
-//! The one exception is [`MapError::Unsatisfiable`]: that is a property
-//! of the (degraded) device, not of the strategy, so the ladder stops
-//! immediately rather than burning every rung on an impossible job.
+//! The one exception is [`MapError::Unsatisfiable`] on a rung with
+//! [`Rung::unsatisfiable_ends_walk`] set (every SWAP rung): that is a
+//! property of the (degraded) device, not of the strategy, so the walk
+//! stops immediately rather than burning every rung on an impossible
+//! job. Movement rungs only demote on it — an over-full array is a
+//! property of movement physics, and SWAP routing over the same
+//! interaction-radius device may still succeed.
 //!
-//! The serving rung is recorded in the outcome's report
+//! The walker stamps the serving rung into the outcome's report
 //! ([`MapReport::fallback_rung`](crate::mapper::MapReport::fallback_rung)
 //! = 0 for the requested pipeline), together with whether verification
 //! passed, so callers and cached results always name the pipeline that
@@ -32,7 +40,7 @@ use crate::config::MapperConfig;
 use crate::mapper::{MapError, MapOutcome};
 use crate::verify::{verify_outcome, VerifyConfig};
 
-/// Why one rung of the ladder was demoted.
+/// Why one rung was demoted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LadderAttempt {
     /// The rung's placer name.
@@ -43,13 +51,13 @@ pub struct LadderAttempt {
     pub error: String,
 }
 
-/// Error raised when every rung of the ladder failed (or the job is
-/// unsatisfiable on the device, which no rung can fix).
+/// Error raised when every rung failed (or the job is unsatisfiable on
+/// the device, which no rung can fix).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LadderError {
-    /// Every demoted rung, in ladder order.
+    /// Every demoted rung, in walk order.
     pub attempts: Vec<LadderAttempt>,
-    /// True when the ladder stopped early on an unsatisfiable device.
+    /// True when the walk stopped early on an unsatisfiable device.
     pub unsatisfiable: bool,
 }
 
@@ -76,8 +84,147 @@ impl std::fmt::Display for LadderError {
 
 impl std::error::Error for LadderError {}
 
-/// An ordered chain of mapper configurations with optional per-result
-/// verification.
+/// Why a rung's compile step failed. The message is what the
+/// [`LadderAttempt`] records.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RungError {
+    /// A mapping-pipeline error; [`MapError::Unsatisfiable`] may end the
+    /// walk.
+    Map(MapError),
+    /// Any other failure (an unknown strategy name, a decomposition or
+    /// placement error outside the [`Mapper`](crate::mapper::Mapper)),
+    /// as its one-line message.
+    Other(String),
+}
+
+impl RungError {
+    /// Wraps a failure that is not a [`MapError`] by its message.
+    pub fn other(error: impl std::fmt::Display) -> Self {
+        RungError::Other(error.to_string())
+    }
+}
+
+impl From<MapError> for RungError {
+    fn from(error: MapError) -> Self {
+        RungError::Map(error)
+    }
+}
+
+/// A rung's compile step: maps the circuit on the device, returning the
+/// outcome plus a backend-specific side product (the DPQA move
+/// schedule; `()` everywhere else). Any error demotes the rung.
+pub type CompileStep<'a, T> =
+    Box<dyn FnOnce(&Circuit, &Device) -> Result<(MapOutcome, T), RungError> + 'a>;
+
+/// One strategy on a degradation order.
+pub struct Rung<'a, T = ()> {
+    /// The (placer, router) pair a demotion of this rung is reported
+    /// under (`dpqa-move` is the router of movement rungs).
+    pub label: MapperConfig,
+    /// How the walker verifies this rung's result (`move_swaps` on
+    /// movement rungs).
+    pub verify: VerifyConfig,
+    /// Whether [`MapError::Unsatisfiable`] ends the walk (SWAP rungs)
+    /// or only demotes this rung (movement rungs).
+    pub unsatisfiable_ends_walk: bool,
+    /// The compile step.
+    pub compile: CompileStep<'a, T>,
+}
+
+impl<T: Default> Rung<'_, T> {
+    /// A SWAP-routing rung running `config`'s pipeline, verified with
+    /// defaults. An unknown strategy name demotes the rung.
+    pub fn swap(config: MapperConfig) -> Self {
+        Rung {
+            label: config.clone(),
+            verify: VerifyConfig::default(),
+            unsatisfiable_ends_walk: true,
+            compile: Box::new(move |circuit, device| {
+                let mapper = config.build().map_err(RungError::other)?;
+                Ok((mapper.map(circuit, device)?, T::default()))
+            }),
+        }
+    }
+}
+
+/// The one executor of every degradation order. It owns the attempt
+/// list a [`LadderError`] reports: [`Walker::demote`] records failures
+/// that happened before the walk (discarded portfolio lanes), and
+/// [`Walker::walk`] appends one attempt per demoted rung.
+#[derive(Debug, Default)]
+pub struct Walker {
+    attempts: Vec<LadderAttempt>,
+}
+
+impl Walker {
+    /// Records a demotion of the `label` pipeline that happened outside
+    /// this walk; it precedes the walk's own attempts in the error.
+    pub fn demote(&mut self, label: MapperConfig, error: String) {
+        self.attempts.push(LadderAttempt {
+            placer: label.placer,
+            router: label.router,
+            error,
+        });
+    }
+
+    /// Walks `rungs` in order on `device` and returns the first result
+    /// that compiles *and* verifies, with its report's `fallback_rung`
+    /// (the rung's position in `rungs`) and `verified` stamped.
+    ///
+    /// # Errors
+    ///
+    /// [`LadderError`] when every rung was demoted, or a rung that
+    /// [ends the walk](Rung::unsatisfiable_ends_walk) found the job
+    /// unsatisfiable on the device.
+    pub fn walk<'a, T>(
+        mut self,
+        circuit: &Circuit,
+        device: &Device,
+        rungs: impl IntoIterator<Item = Rung<'a, T>>,
+    ) -> Result<(MapOutcome, T), LadderError> {
+        let mut unsatisfiable = false;
+        for (index, rung) in rungs.into_iter().enumerate() {
+            let compile = rung.compile;
+            // Panic isolation per rung: a panicking strategy (bug or
+            // armed failpoint) demotes to the next rung.
+            let (error, ends_walk) =
+                match catch_unwind(AssertUnwindSafe(|| compile(circuit, device))) {
+                    Ok(Ok((mut outcome, side))) => {
+                        match verify_outcome(circuit, &outcome, device, &rung.verify) {
+                            Ok(_) => {
+                                outcome.report.fallback_rung = index;
+                                outcome.report.verified = true;
+                                return Ok((outcome, side));
+                            }
+                            Err(e) => (format!("verification failed: {e}"), false),
+                        }
+                    }
+                    Ok(Err(RungError::Map(MapError::Unsatisfiable(reason))))
+                        if rung.unsatisfiable_ends_walk =>
+                    {
+                        (reason.to_string(), true)
+                    }
+                    Ok(Err(RungError::Map(e))) => (e.to_string(), false),
+                    Ok(Err(RungError::Other(message))) => (message, false),
+                    Err(panic) => (
+                        format!("panicked: {}", panic_message(panic.as_ref())),
+                        false,
+                    ),
+                };
+            self.demote(rung.label, error);
+            if ends_walk {
+                unsatisfiable = true;
+                break;
+            }
+        }
+        Err(LadderError {
+            attempts: self.attempts,
+            unsatisfiable,
+        })
+    }
+}
+
+/// An ordered chain of SWAP-routing pipelines, walked by [`Walker`].
 ///
 /// # Examples
 ///
@@ -96,7 +243,6 @@ impl std::error::Error for LadderError {}
 #[derive(Debug, Clone, PartialEq)]
 pub struct FallbackLadder {
     rungs: Vec<MapperConfig>,
-    verify: Option<VerifyConfig>,
 }
 
 impl FallbackLadder {
@@ -120,44 +266,27 @@ impl FallbackLadder {
                 true
             }
         });
-        FallbackLadder {
-            rungs,
-            verify: Some(VerifyConfig::default()),
-        }
+        FallbackLadder { rungs }
     }
 
-    /// A ladder with exactly the given rungs (must be non-empty),
-    /// verification on with defaults.
+    /// A ladder with exactly the given rungs (must be non-empty).
     ///
     /// # Panics
     ///
     /// Panics if `rungs` is empty.
     pub fn new(rungs: Vec<MapperConfig>) -> Self {
         assert!(!rungs.is_empty(), "a ladder needs at least one rung");
-        FallbackLadder {
-            rungs,
-            verify: Some(VerifyConfig::default()),
-        }
-    }
-
-    /// Replaces the verification configuration.
-    #[must_use]
-    pub fn with_verification(mut self, config: VerifyConfig) -> Self {
-        self.verify = Some(config);
-        self
-    }
-
-    /// Disables post-compilation verification (rungs are then demoted
-    /// only on errors and panics).
-    #[must_use]
-    pub fn without_verification(mut self) -> Self {
-        self.verify = None;
-        self
+        FallbackLadder { rungs }
     }
 
     /// The configured rungs, in order.
     pub fn rungs(&self) -> &[MapperConfig] {
         &self.rungs
+    }
+
+    /// The chain as walkable SWAP rungs ([`Rung::swap`]).
+    pub fn swap_rungs<'a, T: Default>(&self) -> Vec<Rung<'a, T>> {
+        self.rungs.iter().cloned().map(Rung::swap).collect()
     }
 
     /// Maps `circuit` on `device` through the first rung that succeeds
@@ -169,69 +298,14 @@ impl FallbackLadder {
     /// [`LadderError`] when every rung failed, a rung found the job
     /// unsatisfiable on the device, or a rung's config is invalid.
     pub fn map(&self, circuit: &Circuit, device: &Device) -> Result<MapOutcome, LadderError> {
-        let mut attempts = Vec::new();
-        for (rung, config) in self.rungs.iter().enumerate() {
-            let demote = |error: String, attempts: &mut Vec<LadderAttempt>| {
-                attempts.push(LadderAttempt {
-                    placer: config.placer.clone(),
-                    router: config.router.clone(),
-                    error,
-                });
-            };
-            let mapper = match config.build() {
-                Ok(mapper) => mapper,
-                Err(e) => {
-                    demote(e.to_string(), &mut attempts);
-                    continue;
-                }
-            };
-            // Panic isolation per rung: a panicking strategy (bug or
-            // armed failpoint) demotes to the next rung. Everything the
-            // closure touches is owned by this rung, so the unwind
-            // leaves no broken state behind.
-            let result = catch_unwind(AssertUnwindSafe(|| mapper.map(circuit, device)));
-            let mut outcome = match result {
-                Ok(Ok(outcome)) => outcome,
-                Ok(Err(MapError::Unsatisfiable(reason))) => {
-                    demote(reason.to_string(), &mut attempts);
-                    return Err(LadderError {
-                        attempts,
-                        unsatisfiable: true,
-                    });
-                }
-                Ok(Err(e)) => {
-                    demote(e.to_string(), &mut attempts);
-                    continue;
-                }
-                Err(panic) => {
-                    demote(
-                        format!("panicked: {}", panic_message(panic.as_ref())),
-                        &mut attempts,
-                    );
-                    continue;
-                }
-            };
-            if let Some(verify_config) = &self.verify {
-                match verify_outcome(circuit, &outcome, device, verify_config) {
-                    Ok(_) => outcome.report.verified = true,
-                    Err(e) => {
-                        demote(format!("verification failed: {e}"), &mut attempts);
-                        continue;
-                    }
-                }
-            }
-            outcome.report.fallback_rung = rung;
-            return Ok(outcome);
-        }
-        Err(LadderError {
-            attempts,
-            unsatisfiable: false,
-        })
+        Walker::default()
+            .walk(circuit, device, self.swap_rungs())
+            .map(|(outcome, ())| outcome)
     }
 }
 
 /// Renders a caught panic payload into a one-line message.
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+pub fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = panic.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = panic.downcast_ref::<String>() {

@@ -83,7 +83,7 @@ pub mod verify;
 pub use backend::{Backend, CoupledBackend};
 pub use config::MapperConfig;
 pub use error::UnsatisfiableReason;
-pub use ladder::{FallbackLadder, LadderAttempt, LadderError};
+pub use ladder::{FallbackLadder, LadderAttempt, LadderError, Rung, RungError, Walker};
 pub use layout::Layout;
 pub use mapper::{MapError, MapOutcome, Mapper, StageTiming};
 pub use portfolio::{Portfolio, PortfolioMode, PortfolioReport, Selection, Selector};

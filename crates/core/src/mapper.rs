@@ -174,7 +174,8 @@ pub struct MapReport {
     pub fallback_rung: usize,
     /// Whether independent post-compilation verification
     /// ([`crate::verify::verify_outcome`]) passed on this result. Set by
-    /// the fallback ladder; always false for a plain [`Mapper::map`] run.
+    /// the rung walker ([`crate::ladder::Walker`]); always false for a
+    /// plain [`Mapper::map`] run.
     pub verified: bool,
     /// Wall-clock time per pipeline stage (zero when normalized for
     /// deterministic output).
@@ -209,8 +210,9 @@ qcs_json::impl_json_object!(MapReport {
 
 /// Passes the generic and per-strategy failpoint for one pipeline stage.
 /// The per-strategy site name is only built when something is armed, so
-/// the common case stays two relaxed atomic loads.
-fn stage_failpoint(site: &str, strategy: &str) -> Result<(), MapError> {
+/// the common case stays two relaxed atomic loads. Backends with their
+/// own stages (DPQA movement rungs) call it under the same site names.
+pub fn stage_failpoint(site: &str, strategy: &str) -> Result<(), MapError> {
     if !qcs_faults::any_armed() {
         return Ok(());
     }

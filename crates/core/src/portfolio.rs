@@ -31,7 +31,15 @@
 //! 3. the cheapest lane (`trivial/trivial`), run synchronously — this
 //!    is why a deadline that cold-racing cannot meet still returns a
 //!    *verified* trivial-strategy result instead of an error;
-//! 4. the existing [`FallbackLadder`].
+//! 4. the backend's full degradation order ([`Backend::rungs`] for the
+//!    default pipeline), walked exactly as a non-portfolio request
+//!    would be.
+//!
+//! Every lane is a [`Walker`] walk of exactly one rung — the backend's
+//! rung 0 for the lane's pipeline — so a failing lane is discarded
+//! rather than demoted inside the backend, and stage 4 is the same
+//! walker seeded with the discarded lanes, which lead its error's
+//! attempt list.
 //!
 //! Failpoints: `mapper.select` fires at selector entry and
 //! `mapper.race.<lane>` at every lane launch (both the confident
@@ -42,7 +50,7 @@
 //! [`MapError::Unsatisfiable`](crate::mapper::MapError::Unsatisfiable)
 //! is a property of the (degraded) device, not of any lane, so the
 //! first lane that reports it short-circuits the whole portfolio —
-//! matching [`FallbackLadder`] semantics.
+//! matching the walker's semantics.
 //!
 //! # Examples
 //!
@@ -71,7 +79,7 @@ use qcs_graph::metrics::GraphMetrics;
 
 use crate::backend::Backend;
 use crate::config::MapperConfig;
-use crate::ladder::{LadderAttempt, LadderError};
+use crate::ladder::{panic_message, LadderError, Walker};
 use crate::mapper::MapOutcome;
 
 /// Placer/router value that requests metric-driven selection.
@@ -93,8 +101,8 @@ pub const ADEQUACY_FACTOR: f64 = 1.25;
 /// Absolute swap slack for adequacy on small circuits.
 pub const ADEQUACY_SLACK: usize = 8;
 
-/// Default minimum remaining budget below which racing is skipped and
-/// the portfolio degrades straight to the cheapest lane.
+/// Minimum remaining budget below which racing is skipped and the
+/// portfolio degrades straight to the cheapest lane.
 pub const DEFAULT_MIN_RACE_BUDGET_MS: u64 = 50;
 
 /// True when `config` requests metric-driven strategy selection.
@@ -308,7 +316,7 @@ pub enum PortfolioMode {
     Raced,
     /// The cheapest lane served after selection and racing could not.
     Cheapest,
-    /// The standard [`FallbackLadder`] served as the last resort.
+    /// The backend's full degradation order served as the last resort.
     Ladder,
 }
 
@@ -372,40 +380,12 @@ type LaneMessage = (usize, Result<Box<MapOutcome>, LaneFailure>);
 
 /// The portfolio engine: selector plus racing plus total-ordered
 /// graceful degradation. See the module docs for the exact order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Portfolio {
     selector: Selector,
-    /// Remaining budget below which the race is skipped and the
-    /// portfolio degrades straight to the cheapest lane.
-    min_race_budget: Duration,
-}
-
-impl Default for Portfolio {
-    fn default() -> Self {
-        Portfolio {
-            selector: Selector::default(),
-            min_race_budget: Duration::from_millis(DEFAULT_MIN_RACE_BUDGET_MS),
-        }
-    }
 }
 
 impl Portfolio {
-    /// A portfolio with explicit selector thresholds (tests and
-    /// calibration; serving uses [`Portfolio::default`]).
-    pub fn with_thresholds(thresholds: SelectorThresholds) -> Self {
-        Portfolio {
-            selector: Selector::new(thresholds),
-            ..Portfolio::default()
-        }
-    }
-
-    /// Overrides the minimum budget below which racing is skipped.
-    #[must_use]
-    pub fn with_min_race_budget(mut self, budget: Duration) -> Self {
-        self.min_race_budget = budget;
-        self
-    }
-
     /// The configured selector.
     pub fn selector(&self) -> &Selector {
         &self.selector
@@ -423,7 +403,7 @@ impl Portfolio {
     /// # Errors
     ///
     /// [`LadderError`] only when every stage — including the final
-    /// [`FallbackLadder`] — failed, or a lane found the job
+    /// walk of the backend's rungs — failed, or a lane found the job
     /// unsatisfiable on the device.
     pub fn map(
         &self,
@@ -464,8 +444,9 @@ impl Portfolio {
         let remaining = |deadline: Option<Duration>| -> Option<Duration> {
             deadline.map(|d| d.saturating_sub(started.elapsed()))
         };
-        let tight =
-            |rem: Option<Duration>| -> bool { rem.is_some_and(|r| r < self.min_race_budget) };
+        let tight = |rem: Option<Duration>| -> bool {
+            rem.is_some_and(|r| r < Duration::from_millis(DEFAULT_MIN_RACE_BUDGET_MS))
+        };
 
         let mut report = PortfolioReport {
             mode: PortfolioMode::Ladder,
@@ -477,15 +458,7 @@ impl Portfolio {
             race_complete: true,
             budget_limited: false,
         };
-        let mut attempts: Vec<LadderAttempt> = Vec::new();
-        let demote = |lane: &str, error: String, attempts: &mut Vec<LadderAttempt>| {
-            let config = lane_config(lane).unwrap_or_default();
-            attempts.push(LadderAttempt {
-                placer: config.placer,
-                router: config.router,
-                error,
-            });
-        };
+        let mut walker = Walker::default();
 
         // Stage 1: metric-driven selection, panic-isolated. A
         // panicking or error-injected selector is not an error — the
@@ -516,29 +489,22 @@ impl Portfolio {
                     // this circuit) must leave room to race the other
                     // lanes instead of blowing the whole deadline.
                     let budget = remaining(deadline).map(|r| r / 2);
-                    match run_lane_bounded(selection.lane, circuit, backend, budget) {
+                    let error = match run_lane_bounded(selection.lane, circuit, backend, budget) {
                         Some(Ok(outcome)) => {
                             report.mode = PortfolioMode::Selected;
                             report.lane = selection.lane.to_string();
                             return Ok((*outcome, report));
                         }
                         Some(Err(LaneFailure::Unsatisfiable(error))) => return Err(error),
-                        Some(Err(LaneFailure::Failed(error))) => {
-                            report.discarded += 1;
-                            demote(selection.lane, error, &mut attempts);
-                            failed_lanes.push(selection.lane);
-                        }
+                        Some(Err(LaneFailure::Failed(error))) => error,
                         None => {
-                            report.discarded += 1;
                             report.budget_limited = true;
-                            demote(
-                                selection.lane,
-                                "did not report within the budget".to_string(),
-                                &mut attempts,
-                            );
-                            failed_lanes.push(selection.lane);
+                            "did not report within the budget".to_string()
                         }
-                    }
+                    };
+                    report.discarded += 1;
+                    walker.demote(selection.config(), error);
+                    failed_lanes.push(selection.lane);
                 }
             }
         }
@@ -576,25 +542,17 @@ impl Portfolio {
             Err(LaneFailure::Unsatisfiable(error)) => return Err(error),
             Err(LaneFailure::Failed(error)) => {
                 report.discarded += 1;
-                demote("trivial", error, &mut attempts);
+                walker.demote(lane_config("trivial").unwrap_or_default(), error);
             }
         }
 
-        // Stage 4: the standard fallback ladder, exactly as a
+        // Stage 4: the backend's full degradation order, exactly as a
         // non-portfolio request would be served.
-        match backend.map(circuit, &MapperConfig::default()) {
-            Ok(outcome) => {
-                report.mode = PortfolioMode::Ladder;
-                report.lane = "ladder".to_string();
-                Ok((outcome, report))
-            }
-            Err(mut error) => {
-                let mut all = attempts;
-                all.append(&mut error.attempts);
-                error.attempts = all;
-                Err(error)
-            }
-        }
+        let rungs = backend.rungs(&MapperConfig::default());
+        let (outcome, ()) = walker.walk(circuit, backend.device(), rungs)?;
+        report.mode = PortfolioMode::Ladder;
+        report.lane = "ladder".to_string();
+        Ok((outcome, report))
     }
 
     /// Races `lanes` with per-lane panic isolation and cooperative
@@ -779,7 +737,8 @@ fn run_lane_caught(
 }
 
 /// The lane body: `mapper.race.<lane>` failpoint, cancel checkpoint,
-/// then a single-rung verified compile via [`Backend::map_single`].
+/// then a walk of exactly one rung — the backend's rung 0 for the
+/// lane's pipeline.
 fn run_lane(
     lane: &'static str,
     circuit: &Circuit,
@@ -796,21 +755,12 @@ fn run_lane(
     }
     let config = lane_config(lane)
         .unwrap_or_else(|| panic!("unknown portfolio lane {lane:?} (expected one of {LANES:?})"));
-    match backend.map_single(circuit, &config) {
-        Ok(outcome) => Ok(Box::new(outcome)),
+    let mut rungs = backend.rungs(&config);
+    rungs.truncate(1);
+    match Walker::default().walk(circuit, backend.device(), rungs) {
+        Ok((outcome, ())) => Ok(Box::new(outcome)),
         Err(error) if error.unsatisfiable => Err(LaneFailure::Unsatisfiable(error)),
         Err(error) => Err(LaneFailure::Failed(error.to_string())),
-    }
-}
-
-/// Renders a caught panic payload into a one-line message.
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

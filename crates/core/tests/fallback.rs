@@ -151,3 +151,38 @@ fn healthy_suite_always_serves_from_the_primary_rung() {
         assert!(outcome.report.verified, "{}", benchmark.name);
     }
 }
+
+/// The portfolio's last resort: with a hopeless deadline the confident
+/// pick and the race are skipped, and when the cheapest lane is killed
+/// too the standard ladder serves from its primary rung.
+#[test]
+fn dead_cheapest_lane_under_a_hopeless_deadline_serves_from_the_ladder() {
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    use qcs_core::backend::{Backend, CoupledBackend};
+    use qcs_core::portfolio::{Portfolio, PortfolioMode};
+
+    let _g = serial();
+    reset();
+    arm(
+        "mapper.race.trivial",
+        FaultAction::Error("lane down".into()),
+        Policy::Always,
+    );
+    let backend: Arc<dyn Backend> = Arc::new(CoupledBackend::new(surface17()));
+    let result = Portfolio::default().map(
+        &qcs_workloads::qft::qft(6).unwrap(),
+        &backend,
+        Some(Duration::from_millis(1)),
+    );
+    reset();
+    let (outcome, report) = result.unwrap();
+    assert_eq!(report.mode, PortfolioMode::Ladder);
+    assert_eq!(report.lane, "ladder");
+    assert!(report.budget_limited);
+    assert_eq!(report.discarded, 1);
+    assert_eq!(outcome.report.fallback_rung, 0);
+    assert_eq!(outcome.report.placer, "graph-similarity");
+    assert!(outcome.report.verified);
+}

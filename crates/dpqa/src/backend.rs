@@ -1,20 +1,22 @@
 //! The DPQA compilation backend: movement first, SWAP routing as the
 //! demotion target.
 //!
-//! [`DpqaBackend`] implements [`Backend`] over a [`DpqaGrid`]. Its
-//! internal ladder runs *movement rungs* first — the requested placer,
-//! then the trivial placer — each producing a move schedule via
-//! [`crate::sched::plan_moves`] and passing independent verification
-//! with [`VerifyConfig::move_swaps`] enabled. A movement rung is
-//! demoted on any failure **including an unsatisfiable plan** (an
-//! over-full array is a property of the movement physics, not of the
-//! job: SWAP routing over the same interaction-radius graph may still
-//! succeed), after which the standard [`FallbackLadder`] takes over on
-//! the radius device. `fallback_rung` counts demoted movement rungs
-//! before the ladder's own, so rung 0 always means "the requested
-//! pipeline, movement included, served this".
+//! [`DpqaBackend`] implements [`Backend`] over a [`DpqaGrid`]. Its rung
+//! list starts with *movement rungs* — the requested placer, then the
+//! trivial placer — each producing a move schedule via
+//! [`crate::sched::plan_moves`] and verified with
+//! [`VerifyConfig::move_swaps`] enabled. A movement rung is demoted on
+//! any failure **including an unsatisfiable plan** (an over-full array
+//! is a property of the movement physics, not of the job: SWAP routing
+//! over the same interaction-radius graph may still succeed), after
+//! which the [`FallbackLadder::standard`] SWAP rungs follow on the
+//! radius device. The one walker ([`Walker`]) runs the whole list, so
+//! `fallback_rung` counts movement rungs and SWAP rungs alike, and
+//! rung 0 always means "the requested pipeline, movement included,
+//! served this". Movement rungs pass the same failpoints as SWAP rungs:
+//! `mapper.place[.<placer>]` before placement and
+//! `mapper.route[.dpqa-move]` before move planning.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -23,10 +25,10 @@ use qcs_circuit::decompose::decompose_circuit;
 use qcs_core::backend::Backend;
 use qcs_core::config::{build_placer, MapperConfig};
 use qcs_core::fidelity::FidelityModel;
-use qcs_core::ladder::{FallbackLadder, LadderAttempt, LadderError};
-use qcs_core::mapper::{MapOutcome, MapReport, StageTiming};
+use qcs_core::ladder::{FallbackLadder, LadderError, Rung, RungError, Walker};
+use qcs_core::mapper::{stage_failpoint, MapOutcome, MapReport, StageTiming};
 use qcs_core::schedule::{schedule_asap, ControlGroups};
-use qcs_core::verify::{verify_outcome, VerifyConfig};
+use qcs_core::verify::VerifyConfig;
 use qcs_topology::device::{Device, DeviceError};
 use qcs_topology::health::DeviceHealth;
 
@@ -98,73 +100,65 @@ impl DpqaBackend {
         circuit: &Circuit,
         config: &MapperConfig,
     ) -> Result<(MapOutcome, Option<MoveSchedule>), LadderError> {
-        let mut attempts: Vec<LadderAttempt> = Vec::new();
+        Walker::default().walk(circuit, &self.device, self.ladder(config, Some))
+    }
+
+    /// The degradation order for `config`: a movement rung for the
+    /// requested placer and one for the trivial placer, then the
+    /// standard SWAP chain. `keep` turns a served movement rung's
+    /// schedule into the walk's side product; SWAP rungs yield
+    /// `T::default()`.
+    fn ladder<T: Default + 'static>(
+        &self,
+        config: &MapperConfig,
+        keep: fn(MoveSchedule) -> T,
+    ) -> Vec<Rung<'_, T>> {
         let mut placers = vec![config.placer.clone()];
         if config.placer != "trivial" {
             placers.push("trivial".to_string());
         }
-        for placer in placers {
-            let rung = attempts.len();
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                self.movement_rung(circuit, &placer, rung)
-            }));
-            match result {
-                Ok(Ok((outcome, schedule))) => return Ok((outcome, Some(schedule))),
-                Ok(Err(error)) => attempts.push(LadderAttempt {
-                    placer,
-                    router: MOVE_ROUTER.to_string(),
-                    error,
-                }),
-                Err(panic) => attempts.push(LadderAttempt {
-                    placer,
-                    router: MOVE_ROUTER.to_string(),
-                    error: format!("panicked: {}", panic_message(panic.as_ref())),
-                }),
-            }
-        }
-        // Demote to SWAP routing over the interaction-radius device.
-        let movement_rungs = attempts.len();
-        match FallbackLadder::standard(config.clone()).map(circuit, &self.device) {
-            Ok(mut outcome) => {
-                outcome.report.fallback_rung += movement_rungs;
-                Ok((outcome, None))
-            }
-            Err(error) => {
-                attempts.extend(error.attempts);
-                Err(LadderError {
-                    attempts,
-                    unsatisfiable: error.unsatisfiable,
-                })
-            }
-        }
+        let movement = placers.into_iter().map(|placer| Rung {
+            label: MapperConfig::new(placer.clone(), MOVE_ROUTER),
+            verify: VerifyConfig {
+                move_swaps: true,
+                ..VerifyConfig::default()
+            },
+            unsatisfiable_ends_walk: false,
+            compile: Box::new(move |circuit, device| {
+                let (outcome, schedule) = self.compile_moves(circuit, device, &placer)?;
+                Ok((outcome, keep(schedule)))
+            }),
+        });
+        movement
+            .chain(FallbackLadder::standard(config.clone()).swap_rungs())
+            .collect()
     }
 
-    /// One movement rung: place with the named strategy, plan moves,
-    /// assemble the outcome, verify. Any failure (as a one-line
-    /// message) demotes the rung.
-    fn movement_rung(
+    /// One movement compile: place with the named strategy, plan moves,
+    /// assemble the (unverified) outcome.
+    fn compile_moves(
         &self,
         circuit: &Circuit,
+        device: &Device,
         placer_name: &str,
-        rung: usize,
-    ) -> Result<(MapOutcome, MoveSchedule), String> {
+    ) -> Result<(MapOutcome, MoveSchedule), RungError> {
         let micros_since = |start: Instant| start.elapsed().as_secs_f64() * 1e6;
-        let placer = build_placer(placer_name).map_err(|e| e.to_string())?;
+        let placer = build_placer(placer_name).map_err(RungError::other)?;
 
         let t = Instant::now();
-        let decomposed =
-            decompose_circuit(circuit, self.device.gate_set()).map_err(|e| e.to_string())?;
+        let decomposed = decompose_circuit(circuit, device.gate_set()).map_err(RungError::other)?;
         let decompose_micros = micros_since(t);
 
         let t = Instant::now();
+        stage_failpoint("mapper.place", placer_name)?;
         let initial = placer
-            .place(&decomposed, &self.device)
-            .map_err(|e| e.to_string())?;
+            .place(&decomposed, device)
+            .map_err(RungError::other)?;
         let place_micros = micros_since(t);
 
         let t = Instant::now();
-        let plan = plan_moves(&decomposed, &self.device, &self.grid, initial)
-            .map_err(|e| e.to_string())?;
+        stage_failpoint("mapper.route", MOVE_ROUTER)?;
+        let plan = plan_moves(&decomposed, device, &self.grid, initial)?;
         let route_micros = micros_since(t);
 
         // The routed circuit is already native apart from relocation
@@ -174,7 +168,7 @@ impl DpqaBackend {
         let t = Instant::now();
         let schedule = schedule_asap(
             &native,
-            &self.device.calibration().durations,
+            &device.calibration().durations,
             &ControlGroups::unconstrained(),
         );
         let schedule_micros = micros_since(t);
@@ -184,8 +178,8 @@ impl DpqaBackend {
         let routed_gates = native.gate_count();
         let depth_before = decomposed.depth();
         let depth_after = native.depth();
-        let fidelity_before = fidelity.circuit_fidelity(&decomposed, &self.device);
-        let fidelity_after = fidelity.circuit_fidelity_scheduled(&native, &self.device, &schedule);
+        let fidelity_before = fidelity.circuit_fidelity(&decomposed, device);
+        let fidelity_after = fidelity.circuit_fidelity_scheduled(&native, device, &schedule);
         let pct = |before: f64, after: f64| {
             if before > 0.0 {
                 (after - before) / before * 100.0
@@ -195,7 +189,7 @@ impl DpqaBackend {
         };
         let report = MapReport {
             circuit_name: circuit.name().to_string(),
-            device_name: self.device.name().to_string(),
+            device_name: device.name().to_string(),
             placer: placer_name.to_string(),
             router: MOVE_ROUTER.to_string(),
             input_gates: circuit.gate_count(),
@@ -218,7 +212,7 @@ impl DpqaBackend {
                 0.0
             },
             makespan_ns: schedule.makespan_ns,
-            fallback_rung: rung,
+            fallback_rung: 0,
             verified: false,
             timing: StageTiming {
                 decompose_micros,
@@ -227,20 +221,13 @@ impl DpqaBackend {
                 schedule_micros,
             },
         };
-        let mut outcome = MapOutcome {
+        let outcome = MapOutcome {
             decomposed,
             routed: plan.routed,
             native,
             schedule,
             report,
         };
-        let verify_config = VerifyConfig {
-            move_swaps: true,
-            ..VerifyConfig::default()
-        };
-        verify_outcome(circuit, &outcome, &self.device, &verify_config)
-            .map_err(|e| format!("verification failed: {e}"))?;
-        outcome.report.verified = true;
         Ok((outcome, plan.schedule))
     }
 }
@@ -258,9 +245,8 @@ impl Backend for DpqaBackend {
         &self.device
     }
 
-    fn map(&self, circuit: &Circuit, config: &MapperConfig) -> Result<MapOutcome, LadderError> {
-        self.compile_with_schedule(circuit, config)
-            .map(|(outcome, _)| outcome)
+    fn rungs(&self, config: &MapperConfig) -> Vec<Rung<'_>> {
+        self.ladder(config, |_schedule| ())
     }
 
     fn degrade(&self, health: &DeviceHealth) -> Result<Arc<dyn Backend>, DeviceError> {
@@ -268,17 +254,6 @@ impl Backend for DpqaBackend {
             grid: self.grid,
             device: self.device.degrade(health)?,
         }))
-    }
-}
-
-/// Renders a caught panic payload into a one-line message.
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

@@ -26,7 +26,7 @@
 //!   in the routed circuit so `qcs-core::verify` replays movement as a
 //!   qubit permutation;
 //! * [`backend`] — [`DpqaBackend`], the [`qcs_core::Backend`]
-//!   implementation whose internal ladder demotes an unsatisfiable
+//!   implementation whose rung list demotes an unsatisfiable
 //!   movement compile to SWAP routing over the radius graph rather
 //!   than failing the job.
 //!

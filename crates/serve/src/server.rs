@@ -56,6 +56,7 @@ use qcs_faults::Hit;
 use qcs_circuit::canon::CanonConfig;
 use qcs_circuit::hash::circuit_digest;
 use qcs_circuit::qasm;
+use qcs_core::ladder::panic_message;
 use qcs_rng::SeedableRng;
 
 use crate::cache::{CanonicalHit, CanonicalInfo, ResultCache};
@@ -135,17 +136,6 @@ pub(crate) fn lock_recovering<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Renders a caught panic payload into a one-line message.
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Per-stage cold-compile histograms for one `placer/router` pipeline.
