@@ -63,9 +63,10 @@
 //! request's *total* end-to-end budget. The router subtracts its own
 //! elapsed time and rewrites the member to the remaining budget before
 //! each forward attempt, so the shard sees only what is actually left;
-//! a budget that is exhausted (or provably insufficient against the
-//! observed forward p95) is refused up front with a structured
-//! `deadline_exceeded` error instead of burning a forward on it.
+//! a budget that is already exhausted is refused up front with a
+//! structured `deadline_exceeded` error instead of burning a forward on
+//! it. Whether a live budget will suffice is predicted at one hop only:
+//! the shard, which holds the per-stage cost evidence.
 //!
 //! **What the router answers itself.** `ping` (liveness), `stats` (its
 //! own counters plus per-shard health — shard cache stats come from the
@@ -518,8 +519,8 @@ struct RouterShared {
     requests: AtomicU64,
     reroutes: AtomicU64,
     forward_errors: AtomicU64,
-    /// Requests refused because their end-to-end budget ran out (or
-    /// provably would) before forwarding.
+    /// Requests refused because their end-to-end budget ran out before
+    /// forwarding.
     deadline_rejected: AtomicU64,
     /// Requests shed because every shard's in-flight window was full.
     admission_shed: AtomicU64,
@@ -527,7 +528,7 @@ struct RouterShared {
     hedges_won: AtomicU64,
     seen_keys: Mutex<SeenKeys>,
     /// Forward latency of cache-hit-class requests — the distribution
-    /// the hedge delay and the deadline p95 gate are derived from.
+    /// the hedge delay is derived from.
     hit_latency: Mutex<LatencyHistogram>,
     /// Text-hash → canonical routing key memo (see [`CanonKeyMemo`]).
     canon_keys: Mutex<CanonKeyMemo>,
@@ -969,13 +970,6 @@ fn hedge_delay(shared: &RouterShared) -> Option<Duration> {
     Some(p99.clamp(Duration::from_millis(1), Duration::from_millis(100)))
 }
 
-/// Observed hit-class forward p95 in microseconds, once trustworthy.
-fn hit_forward_p95(shared: &RouterShared) -> Option<u64> {
-    let hist = lock_or_recover(&shared.hit_latency);
-    (hist.count() >= shared.config.hedge_min_observations.max(1))
-        .then(|| hist.quantile_upper_micros(0.95))
-}
-
 fn json_bytes(value: Json) -> Vec<u8> {
     value.to_compact_string().into_bytes()
 }
@@ -1003,27 +997,13 @@ fn forward(
 ) -> Vec<u8> {
     let hit_class = lock_or_recover(&shared.seen_keys).contains(ctx.key);
 
-    // Deadline gate: refuse work whose remaining budget is already gone
-    // or (for hit-class requests, where the router's forward time is the
-    // whole story) provably insufficient against the observed p95 —
-    // better a fast structured refusal than a doomed forward.
-    if let Some(remaining) = ctx.remaining() {
-        if remaining.is_zero() {
-            shared.deadline_rejected.fetch_add(1, Ordering::SeqCst);
-            return json_bytes(deadline_response("deadline exhausted before forwarding"));
-        }
-        if hit_class {
-            if let Some(p95) = hit_forward_p95(shared) {
-                if Duration::from_micros(p95) > remaining {
-                    shared.deadline_rejected.fetch_add(1, Ordering::SeqCst);
-                    return json_bytes(deadline_response(format!(
-                        "remaining budget of {} ms cannot cover the observed forward p95 of {} us",
-                        remaining.as_millis(),
-                        p95
-                    )));
-                }
-            }
-        }
+    // Deadline gate: refuse work whose remaining budget is already gone —
+    // better a fast structured refusal than a doomed forward. Predicting
+    // whether a live budget suffices is the shard's job: it holds the
+    // per-stage cost evidence.
+    if ctx.remaining().is_some_and(|remaining| remaining.is_zero()) {
+        shared.deadline_rejected.fetch_add(1, Ordering::SeqCst);
+        return json_bytes(deadline_response("deadline exhausted before forwarding"));
     }
 
     let walk = shared.ring.walk(ctx.key);
