@@ -310,6 +310,98 @@ fn shard_dying_mid_response_never_leaks_a_torn_frame_to_the_client() {
 }
 
 #[test]
+fn half_sent_frame_gets_a_read_deadline_error_then_eof() {
+    use std::io::Write;
+    let shards = [start_shard()];
+    let router = start_router(&[&shards[0]]);
+    let mut stream = connect(router.local_addr());
+
+    // A length prefix promising 100 bytes, then only 10 of them: the
+    // router must answer at its frame deadline rather than hold the
+    // connection (and whatever serves it) forever.
+    let started = std::time::Instant::now();
+    stream.write_all(&100u32.to_be_bytes()).unwrap();
+    stream.write_all(b"0123456789").unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let payload = read_frame(&mut stream)
+        .expect("an error frame within 10 s")
+        .expect("an error frame before EOF");
+    assert!(started.elapsed() < Duration::from_secs(10));
+    let reply = qcs_json::parse(std::str::from_utf8(&payload).unwrap()).unwrap();
+    assert_eq!(response_type(&reply), "error", "reply: {reply:?}");
+    let message = reply.get("message").and_then(Json::as_str).unwrap_or("");
+    assert!(message.contains("read deadline"), "message: {message}");
+    assert!(
+        read_frame(&mut stream).expect("clean close").is_none(),
+        "the router closes after the deadline error"
+    );
+
+    drop(stream);
+    router.shutdown();
+    for shard in shards {
+        shard.shutdown();
+    }
+}
+
+#[test]
+fn shutdown_joins_as_many_threads_after_200_connections_as_after_one() {
+    let shards = [start_shard()];
+    let serve = |connections: usize| {
+        let router = start_router(&[&shards[0]]);
+        for _ in 0..connections {
+            let mut stream = connect(router.local_addr());
+            let reply = exchange_json(&mut stream, r#"{"type":"compile","workload":"ghz:4"}"#);
+            assert_eq!(response_type(&reply), "result", "reply: {reply:?}");
+        }
+        router.shutdown()
+    };
+    // Threads track concurrent work, not connections ever served: a
+    // closed client leaves nothing behind to join.
+    let after_one = serve(1);
+    let after_many = serve(200);
+    assert_eq!(after_one, after_many);
+
+    for shard in shards {
+        shard.shutdown();
+    }
+}
+
+#[test]
+fn pipelined_frames_on_one_connection_come_back_in_order() {
+    use std::io::Write;
+    let shards = [start_shard()];
+    let router = start_router(&[&shards[0]]);
+    let mut stream = connect(router.local_addr());
+
+    let mut burst = Vec::new();
+    for request in [
+        r#"{"type":"ping"}"#,
+        r#"{"type":"compile","workload":"ghz:5"}"#,
+        r#"{"type":"stats"}"#,
+    ] {
+        burst.extend_from_slice(&(request.len() as u32).to_be_bytes());
+        burst.extend_from_slice(request.as_bytes());
+    }
+    stream.write_all(&burst).unwrap();
+    let types: Vec<String> = (0..3)
+        .map(|_| {
+            let payload = read_frame(&mut stream).unwrap().expect("a response");
+            let reply = qcs_json::parse(std::str::from_utf8(&payload).unwrap()).unwrap();
+            response_type(&reply).to_string()
+        })
+        .collect();
+    assert_eq!(types, ["pong", "result", "stats"]);
+
+    drop(stream);
+    router.shutdown();
+    for shard in shards {
+        shard.shutdown();
+    }
+}
+
+#[test]
 fn exhausted_deadline_is_rejected_before_forwarding() {
     let shards = [start_shard()];
     let router = start_router(&[&shards[0]]);
