@@ -128,21 +128,29 @@ impl Job {
     /// 64-bit collision between distinct jobs can never serve the wrong
     /// result — see `cache::CacheStats::hash_conflicts`.
     pub fn full_key(&self) -> Vec<u8> {
-        let mut key = Vec::new();
-        key.extend_from_slice(qasm::print(&self.circuit).as_bytes());
-        key.push(0);
-        key.extend_from_slice(self.backend.id().as_bytes());
-        key.push(0);
-        key.extend_from_slice(self.backend.qubit_count().to_string().as_bytes());
-        key.push(0);
-        key.extend_from_slice(self.config.placer.as_bytes());
-        key.push(0);
-        key.extend_from_slice(self.config.router.as_bytes());
+        self.key(None, &qasm::print(&self.circuit))
+    }
+
+    /// The layout both keys share: `[domain \0] qasm \0 backend id \0
+    /// width \0 placer \0 router [\0 race]`, in a buffer of exactly its
+    /// length — keys move into the cache as-is, so spare capacity would
+    /// ride along in every entry.
+    fn key(&self, domain: Option<&[u8]>, qasm: &str) -> Vec<u8> {
+        let width = self.backend.qubit_count().to_string();
+        let mut fields: Vec<&[u8]> = Vec::with_capacity(7);
+        fields.extend(domain);
+        fields.extend([
+            qasm.as_bytes(),
+            self.backend.id().as_bytes(),
+            width.as_bytes(),
+            self.config.placer.as_bytes(),
+            self.config.router.as_bytes(),
+        ]);
         if self.race {
-            key.push(0);
-            key.extend_from_slice(b"race");
+            fields.push(b"race");
         }
-        key
+        // `join` sizes its output exactly before copying.
+        fields.join(&0)
     }
 
     /// Reduces the job's circuit to canonical form and derives the
@@ -167,22 +175,7 @@ impl Job {
         // Same layout as `full_key`, in a distinct domain ("canon\0"
         // prefix) and with the *canonical* QASM — which carries no
         // circuit name, so a rename cannot split the key.
-        let mut key = Vec::new();
-        key.extend_from_slice(b"canon");
-        key.push(0);
-        key.extend_from_slice(qasm::print(&form.circuit).as_bytes());
-        key.push(0);
-        key.extend_from_slice(self.backend.id().as_bytes());
-        key.push(0);
-        key.extend_from_slice(self.backend.qubit_count().to_string().as_bytes());
-        key.push(0);
-        key.extend_from_slice(self.config.placer.as_bytes());
-        key.push(0);
-        key.extend_from_slice(self.config.router.as_bytes());
-        if self.race {
-            key.push(0);
-            key.extend_from_slice(b"race");
-        }
+        let key = self.key(Some(b"canon"), &qasm::print(&form.circuit));
         CanonicalJob { form, digest, key }
     }
 
@@ -571,6 +564,22 @@ mod tests {
         let raced = Job::resolve(&req).unwrap().canonicalize(&config);
         assert_ne!(canon_base.digest, raced.digest);
         assert_ne!(canon_base.key, raced.key);
+    }
+
+    #[test]
+    fn job_keys_are_sized_exactly() {
+        let mut req = request("qft:12");
+        req.device = "surface97".to_string();
+        req.race = true;
+        let job = Job::resolve(&req).unwrap();
+        let full = job.full_key();
+        assert_eq!(full.capacity(), full.len());
+        assert!(full.ends_with(b"\0trivial\0lookahead\0race"));
+        let canonical = job.canonicalize(&CanonConfig::default()).key;
+        assert_eq!(canonical.capacity(), canonical.len());
+        assert!(canonical.starts_with(b"canon\0OPENQASM"));
+        let tail = format!("\0{}\097\0trivial\0lookahead\0race", job.backend.id());
+        assert!(canonical.ends_with(tail.as_bytes()));
     }
 
     #[test]
