@@ -1,14 +1,15 @@
 //! The readiness loops: non-blocking connection I/O over `poll(2)`.
 //!
-//! A small fixed pool of *event-loop threads* owns every accepted
-//! socket. Each loop multiplexes its connections through
+//! A small fixed pool of *event-loop threads* owns every socket the
+//! transport core ([`crate::transport`]) accepts, for shards and router
+//! alike. Each loop multiplexes its connections through
 //! [`qcs_sys::poll_fds`]: reads land in a per-connection
 //! [`FrameDecoder`] (partial frames accumulate across wakeups), complete
 //! requests are answered inline when cheap (`ping`, `stats`,
-//! `shutdown`) or handed to the compute worker pool (`compile`,
-//! `compile_suite`), and responses drain through a per-connection write
-//! buffer with backpressure — a peer that stops reading costs memory on
-//! its own connection, never a thread.
+//! `shutdown`) or handed, with their raw frame bytes, to the compute
+//! worker pool (`compile`, `compile_suite`), and responses drain through
+//! a per-connection write buffer with backpressure — a peer that stops
+//! reading costs memory on its own connection, never a thread.
 //!
 //! **Ordering.** Each connection processes its requests strictly in
 //! arrival order, one compute job in flight at a time; pipelined
@@ -52,7 +53,7 @@ use qcs_sys::{poll_fds, PollFd, POLLIN, POLLOUT};
 
 use crate::frame::FrameDecoder;
 use crate::protocol::{error_response, Request};
-use crate::server::{stats_json, Shared, WorkItem};
+use crate::transport::{lock_recovering, Core, WorkItem};
 use qcs_json::Json;
 
 /// Read-chunk size: large enough to drain a pipelined burst in one
@@ -85,19 +86,13 @@ impl LoopShared {
     /// Hands a freshly accepted socket to this loop (from the accept
     /// thread).
     pub(crate) fn inject(&self, stream: TcpStream) {
-        self.injected
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .push(stream);
+        lock_recovering(&self.injected).push(stream);
         self.waker.wake();
     }
 
     /// Delivers a finished job's response bytes (from a worker).
     pub(crate) fn complete(&self, token: u64, bytes: Vec<u8>) {
-        self.completions
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .push((token, bytes));
+        lock_recovering(&self.completions).push((token, bytes));
         self.waker.wake();
     }
 
@@ -123,8 +118,9 @@ fn wake_pair() -> io::Result<(TcpStream, TcpStream)> {
 /// its thread handle, in loop-index order.
 pub(crate) type SpawnedLoops = (Vec<Arc<LoopShared>>, Vec<JoinHandle<()>>);
 
-/// Spawns `count` event-loop threads bound to `shared`.
-pub(crate) fn spawn_loops(shared: &Arc<Shared>, count: usize) -> io::Result<SpawnedLoops> {
+/// Spawns the core's event-loop threads.
+pub(crate) fn spawn_loops(core: &Arc<Core>) -> io::Result<SpawnedLoops> {
+    let count = core.config.event_loops;
     let mut loops = Vec::with_capacity(count);
     let mut threads = Vec::with_capacity(count);
     for i in 0..count {
@@ -135,11 +131,11 @@ pub(crate) fn spawn_loops(shared: &Arc<Shared>, count: usize) -> io::Result<Spaw
             waker: Waker { tx: wake_tx },
         });
         loops.push(Arc::clone(&ls));
-        let shared = Arc::clone(shared);
+        let core = Arc::clone(core);
         threads.push(
             std::thread::Builder::new()
-                .name(format!("qcs-serve-loop-{i}"))
-                .spawn(move || run_loop(i, &shared, &ls, wake_rx))
+                .name(format!("{}-loop-{i}", core.config.name))
+                .spawn(move || run_loop(i, &core, &ls, wake_rx))
                 .expect("spawning an event-loop thread"),
         );
     }
@@ -152,8 +148,8 @@ enum Pending {
     /// dequeue time would break ordering — these were queued in arrival
     /// position).
     Respond(Vec<u8>),
-    /// A parsed request still to execute.
-    Work(Request),
+    /// A parsed request still to execute, with its raw frame bytes.
+    Work(Request, Vec<u8>),
 }
 
 /// Per-connection state machine.
@@ -305,14 +301,10 @@ impl Conn {
 /// Drains a mutex-protected vector without holding the lock during
 /// processing.
 fn take_all<T>(queue: &Mutex<Vec<T>>) -> Vec<T> {
-    std::mem::take(
-        &mut *queue
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner()),
-    )
+    std::mem::take(&mut *lock_recovering(queue))
 }
 
-fn run_loop(loop_idx: usize, shared: &Shared, ls: &LoopShared, wake_rx: TcpStream) {
+fn run_loop(loop_idx: usize, core: &Arc<Core>, ls: &LoopShared, wake_rx: TcpStream) {
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_token: u64 = 0;
     let mut read_buf = vec![0u8; READ_CHUNK];
@@ -331,12 +323,12 @@ fn run_loop(loop_idx: usize, shared: &Shared, ls: &LoopShared, wake_rx: TcpStrea
                 let _ = qcs_faults::hit("serve.connection");
             }));
             if armed.is_err() {
-                shared.connections_panicked.fetch_add(1, Ordering::SeqCst);
-                shared.active.fetch_sub(1, Ordering::SeqCst);
+                core.connections_panicked.fetch_add(1, Ordering::SeqCst);
+                core.active.fetch_sub(1, Ordering::SeqCst);
                 continue; // stream drops: closed without a frame
             }
             if stream.set_nonblocking(true).is_err() {
-                shared.active.fetch_sub(1, Ordering::SeqCst);
+                core.active.fetch_sub(1, Ordering::SeqCst);
                 continue;
             }
             let _ = stream.set_nodelay(true);
@@ -349,13 +341,13 @@ fn run_loop(loop_idx: usize, shared: &Shared, ls: &LoopShared, wake_rx: TcpStrea
         for (token, bytes) in take_all(&ls.completions) {
             if let Some(conn) = conns.get_mut(&token) {
                 conn.queue_payload(&bytes);
-                shared.frames_out.fetch_add(1, Ordering::SeqCst);
+                core.frames_out.fetch_add(1, Ordering::SeqCst);
                 conn.in_flight = false;
-                advance(loop_idx, token, conn, shared);
+                advance(loop_idx, token, conn, core);
             }
         }
 
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if core.shutdown.load(Ordering::SeqCst) {
             break;
         }
 
@@ -364,7 +356,7 @@ fn run_loop(loop_idx: usize, shared: &Shared, ls: &LoopShared, wake_rx: TcpStrea
         reap.extend(conns.iter().filter(|(_, c)| c.reapable()).map(|(&t, _)| t));
         for token in reap.drain(..) {
             conns.remove(&token);
-            shared.active.fetch_sub(1, Ordering::SeqCst);
+            core.active.fetch_sub(1, Ordering::SeqCst);
         }
 
         // Build the poll set: the waker first, then every connection.
@@ -384,7 +376,7 @@ fn run_loop(loop_idx: usize, shared: &Shared, ls: &LoopShared, wake_rx: TcpStrea
             fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
             fd_tokens.push(token);
             if let Some(started) = conn.frame_started {
-                let remaining = shared
+                let remaining = core
                     .config
                     .frame_deadline
                     .saturating_sub(now.duration_since(started));
@@ -400,7 +392,7 @@ fn run_loop(loop_idx: usize, shared: &Shared, ls: &LoopShared, wake_rx: TcpStrea
 
         // Drain the waker.
         if fds[0].readable() {
-            shared.wakeups.fetch_add(1, Ordering::SeqCst);
+            core.wakeups.fetch_add(1, Ordering::SeqCst);
             loop {
                 match wake_rx.read(&mut read_buf) {
                     Ok(0) => break, // peer end dropped: shutdown imminent
@@ -425,7 +417,7 @@ fn run_loop(loop_idx: usize, shared: &Shared, ls: &LoopShared, wake_rx: TcpStrea
                 conn.flush();
             }
             if entry.readable() && !conn.closing && !conn.peer_closed {
-                read_ready(loop_idx, token, conn, shared, &mut read_buf);
+                read_ready(loop_idx, token, conn, core, &mut read_buf);
             }
         }
 
@@ -436,9 +428,8 @@ fn run_loop(loop_idx: usize, shared: &Shared, ls: &LoopShared, wake_rx: TcpStrea
             .iter()
             .filter(|(_, c)| !c.closing && !c.dead)
             .filter(|(_, c)| {
-                c.frame_started.is_some_and(|started| {
-                    now.duration_since(started) > shared.config.frame_deadline
-                })
+                c.frame_started
+                    .is_some_and(|started| now.duration_since(started) > core.config.frame_deadline)
             })
             .map(|(&t, _)| t)
             .collect();
@@ -448,13 +439,13 @@ fn run_loop(loop_idx: usize, shared: &Shared, ls: &LoopShared, wake_rx: TcpStrea
             };
             let message = format!(
                 "read deadline exceeded: frame incomplete after {} ms",
-                shared.config.frame_deadline.as_millis()
+                core.config.frame_deadline.as_millis()
             );
             conn.pending
                 .push_back(Pending::Respond(render(&error_response(message))));
             conn.closing = true;
             conn.frame_started = None;
-            advance(loop_idx, token, conn, shared);
+            advance(loop_idx, token, conn, core);
         }
 
         // Reap: dead, deadline-closed-and-drained, or peer-closed-and-done.
@@ -462,20 +453,20 @@ fn run_loop(loop_idx: usize, shared: &Shared, ls: &LoopShared, wake_rx: TcpStrea
         reap.extend(conns.iter().filter(|(_, c)| c.reapable()).map(|(&t, _)| t));
         for token in reap.drain(..) {
             conns.remove(&token);
-            shared.active.fetch_sub(1, Ordering::SeqCst);
+            core.active.fetch_sub(1, Ordering::SeqCst);
         }
     }
 
     // Shutdown: close every connection this loop owns.
     let remaining = conns.len();
     for _ in 0..remaining {
-        shared.active.fetch_sub(1, Ordering::SeqCst);
+        core.active.fetch_sub(1, Ordering::SeqCst);
     }
     drop(conns);
     // Streams injected after the final drain are closed by Drop too.
     let stragglers = take_all(&ls.injected);
     for _ in &stragglers {
-        shared.active.fetch_sub(1, Ordering::SeqCst);
+        core.active.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -485,23 +476,23 @@ fn render(value: &Json) -> Vec<u8> {
 
 /// Reads until the socket would block, feeding the decoder and queueing
 /// parsed requests.
-fn read_ready(loop_idx: usize, token: u64, conn: &mut Conn, shared: &Shared, buf: &mut [u8]) {
+fn read_ready(loop_idx: usize, token: u64, conn: &mut Conn, core: &Arc<Core>, buf: &mut [u8]) {
     if qcs_faults::any_armed() {
         match qcs_faults::transport_fault("serve.transport.read") {
             None => {}
             Some(qcs_faults::TransportFault::SlowRead(ms)) => {
                 // A stalled NIC stalls the whole loop, not one socket —
                 // sleeping here models exactly that.
-                shared.transport_faults.fetch_add(1, Ordering::SeqCst);
+                core.transport_faults.fetch_add(1, Ordering::SeqCst);
                 std::thread::sleep(Duration::from_millis(ms));
             }
             Some(qcs_faults::TransportFault::ConnReset) => {
-                shared.transport_faults.fetch_add(1, Ordering::SeqCst);
+                core.transport_faults.fetch_add(1, Ordering::SeqCst);
                 conn.dead = true;
                 return;
             }
             Some(qcs_faults::TransportFault::BlackHole) => {
-                shared.transport_faults.fetch_add(1, Ordering::SeqCst);
+                core.transport_faults.fetch_add(1, Ordering::SeqCst);
                 conn.black_holed = true;
             }
             // Write-shaped faults are meaningless on the read path.
@@ -555,19 +546,18 @@ fn read_ready(loop_idx: usize, token: u64, conn: &mut Conn, shared: &Shared, buf
         if conn.decoder.mid_frame() {
             if conn.frame_started.is_none() {
                 conn.frame_started = Some(Instant::now());
-                shared.partial_reads.fetch_add(1, Ordering::SeqCst);
+                core.partial_reads.fetch_add(1, Ordering::SeqCst);
             }
         } else {
             conn.frame_started = None;
         }
     }
     if !frames.is_empty() {
-        shared
-            .frames_in
+        core.frames_in
             .fetch_add(frames.len() as u64, Ordering::SeqCst);
         for payload in frames {
             match Request::parse(&payload) {
-                Ok(request) => conn.pending.push_back(Pending::Work(request)),
+                Ok(request) => conn.pending.push_back(Pending::Work(request, payload)),
                 // Malformed request: answer in order and keep the
                 // connection — framing is intact, the stream is in sync.
                 Err(e) => conn
@@ -576,45 +566,46 @@ fn read_ready(loop_idx: usize, token: u64, conn: &mut Conn, shared: &Shared, buf
             }
         }
     }
-    advance(loop_idx, token, conn, shared);
+    advance(loop_idx, token, conn, core);
 }
 
 /// Processes the pending queue in strict arrival order: pre-rendered
 /// responses and cheap control requests drain inline; the first compute
 /// request dispatches to the workers and blocks the queue until its
 /// completion returns.
-fn advance(loop_idx: usize, token: u64, conn: &mut Conn, shared: &Shared) {
+fn advance(loop_idx: usize, token: u64, conn: &mut Conn, core: &Arc<Core>) {
     while !conn.in_flight && !conn.dead {
         match conn.pending.pop_front() {
             None => break,
             Some(Pending::Respond(bytes)) => {
                 conn.queue_payload(&bytes);
-                shared.frames_out.fetch_add(1, Ordering::SeqCst);
+                core.frames_out.fetch_add(1, Ordering::SeqCst);
             }
-            Some(Pending::Work(request)) => match request {
+            Some(Pending::Work(request, frame)) => match request {
                 Request::Ping => {
                     conn.queue_json(&Json::object([("type", "pong")]));
-                    shared.frames_out.fetch_add(1, Ordering::SeqCst);
+                    core.frames_out.fetch_add(1, Ordering::SeqCst);
                 }
                 Request::Stats => {
-                    conn.queue_json(&stats_json(shared));
-                    shared.frames_out.fetch_add(1, Ordering::SeqCst);
+                    conn.queue_json(&core.stats_json());
+                    core.frames_out.fetch_add(1, Ordering::SeqCst);
                 }
                 Request::Shutdown => {
                     conn.queue_json(&Json::object([("type", "ok")]));
-                    shared.frames_out.fetch_add(1, Ordering::SeqCst);
+                    core.frames_out.fetch_add(1, Ordering::SeqCst);
                     // The loop exits before another flush chance: drain
                     // the acknowledgement synchronously, best effort.
                     conn.flush_blocking(Duration::from_secs(1));
-                    shared.initiate_shutdown();
+                    core.initiate_shutdown();
                     return;
                 }
                 request @ (Request::Compile(_) | Request::CompileSuite(_)) => {
                     conn.in_flight = true;
-                    shared.enqueue_job(WorkItem {
+                    core.enqueue_job(WorkItem {
                         loop_idx,
                         token,
                         request,
+                        frame,
                     });
                     break;
                 }

@@ -22,11 +22,14 @@
 //! * [`frame`] — the incremental frame decoder behind the daemon's
 //!   non-blocking read path.
 //! * [`histogram`] — constant-memory latency histograms for `stats`.
-//! * [`server`] — the daemon: accept thread, event-loop pool (readiness
-//!   multiplexing over `qcs-sys`'s `poll(2)` shim), compute workers.
-//! * [`router`] — the sharding front-end: consistent-hash request
-//!   routing across a fleet of daemon shards, with health checks and
-//!   rerouting around dead shards.
+//! * `transport` — the transport core both daemons run: accept thread,
+//!   event-loop pool (readiness multiplexing over `qcs-sys`'s `poll(2)`
+//!   shim), compute workers, shutdown.
+//! * [`server`] — the daemon: the shard's request handler (cache,
+//!   canonical replay, compile) on the transport core.
+//! * [`router`] — the sharding front-end: a forwarding handler on the
+//!   same core, consistent-hashing requests across a fleet of daemon
+//!   shards, with health checks and rerouting around dead shards.
 //!
 //! See DESIGN.md ("Compilation service") for the protocol reference and
 //! the determinism argument, and `tests/e2e.rs` for the headline
@@ -52,6 +55,7 @@ pub mod persist;
 pub mod protocol;
 pub mod router;
 pub mod server;
+mod transport;
 
 pub use cache::{CacheStats, ResultCache};
 pub use compile::{job_digest, run_job, CompileOutput, Job};

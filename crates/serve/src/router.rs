@@ -74,8 +74,8 @@
 //! independent processes with their own lifecycle).
 
 use std::collections::{HashSet, VecDeque};
-use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -87,11 +87,13 @@ use qcs_json::Json;
 use qcs_rng::{RngCore, SplitMix64};
 use qcs_sys::{poll_fds, PollFd, POLLIN};
 
-use crate::frame::FrameDecoder;
 use crate::histogram::LatencyHistogram;
 use crate::protocol::{
     deadline_response, error_response, read_frame, rewrite_deadline_ms, shed_response, write_frame,
     write_json, Request, Source,
+};
+use crate::transport::{
+    lock_recovering, Core, CoreConfig, Handler, Transport, FRAME_DEADLINE, POLL_INTERVAL,
 };
 
 /// Tuning knobs for [`Router::start`].
@@ -155,9 +157,6 @@ impl Default for RouterConfig {
         }
     }
 }
-
-/// How often client-connection reads re-check the shutdown flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 /// A consistent-hash ring over shard indices.
 ///
@@ -449,9 +448,11 @@ struct ShardState {
     healthy: AtomicBool,
     forwarded: AtomicU64,
     breaker: Breaker,
-    /// Requests currently forwarded to this shard, fleet-wide across
-    /// client threads; bounded by [`RouterConfig::max_in_flight`].
+    /// Requests currently forwarded to this shard, across all workers;
+    /// bounded by [`RouterConfig::max_in_flight`].
     in_flight: AtomicUsize,
+    /// Connections to this shard not in use by a forward right now.
+    idle: Mutex<Vec<TcpStream>>,
 }
 
 /// RAII guard for one unit of a shard's in-flight window.
@@ -512,11 +513,8 @@ impl SeenKeys {
 
 struct RouterShared {
     config: RouterConfig,
-    local_addr: SocketAddr,
-    shutdown: AtomicBool,
     ring: HashRing,
     shards: Vec<ShardState>,
-    requests: AtomicU64,
     reroutes: AtomicU64,
     forward_errors: AtomicU64,
     /// Requests refused because their end-to-end budget ran out before
@@ -535,21 +533,10 @@ struct RouterShared {
 }
 
 impl RouterShared {
-    fn initiate_shutdown(&self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // The accept thread may be parked in accept(): poke it awake.
-        let _ = TcpStream::connect(self.local_addr);
-    }
-
     /// Resolves (and caches) a shard's socket address.
     fn shard_addr(&self, idx: usize) -> io::Result<SocketAddr> {
         let shard = &self.shards[idx];
-        let mut cached = shard
-            .resolved
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let mut cached = lock_recovering(&shard.resolved);
         if let Some(addr) = *cached {
             return Ok(addr);
         }
@@ -561,58 +548,56 @@ impl RouterShared {
     }
 }
 
+/// The router's side of the transport core: `stats` from its own
+/// counters, and every compute request forwarded to a shard.
+impl Handler for RouterShared {
+    fn stats(&self, core: &Core) -> Json {
+        router_stats_json(self, core)
+    }
+
+    fn respond(&self, _core: &Core, request: &Request, frame: &[u8]) -> Vec<u8> {
+        // The deadline is the request's *total* remaining budget;
+        // `arrival` anchors the router's share of it.
+        let arrival = Instant::now();
+        let deadline = match request {
+            Request::Compile(c) => c.deadline_ms.map(Duration::from_millis),
+            _ => None,
+        };
+        let ctx = ForwardCtx {
+            key: semantic_route_key(request, self),
+            arrival,
+            deadline,
+            // Only single compiles hedge: a duplicated suite is never
+            // hit-class work, it is a whole benchmark run.
+            hedgeable: matches!(request, Request::Compile(_)),
+        };
+        forward(self, frame, &ctx)
+    }
+}
+
 /// The running router: address + thread handles.
 pub struct RouterHandle {
-    shared: Arc<RouterShared>,
-    accept_thread: Option<JoinHandle<()>>,
-    health_thread: Option<JoinHandle<()>>,
-    client_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    transport: Transport,
+    health_thread: JoinHandle<()>,
 }
 
 impl RouterHandle {
     /// The router's bound address (useful with ephemeral ports).
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.local_addr
+        self.transport.local_addr()
     }
 
     /// Requests shutdown and joins every router thread.
-    pub fn shutdown(mut self) -> usize {
-        self.shared.initiate_shutdown();
-        self.join_all()
+    pub fn shutdown(self) -> usize {
+        self.transport.core().initiate_shutdown();
+        self.wait()
     }
 
     /// Blocks until the router shuts down (via a protocol `shutdown`
     /// request) and joins every router thread.
-    pub fn wait(mut self) -> usize {
-        self.join_all()
-    }
-
-    fn join_all(&mut self) -> usize {
-        let mut joined = 0;
-        let threads = self
-            .accept_thread
-            .take()
-            .into_iter()
-            .chain(self.health_thread.take());
-        for t in threads {
-            if t.join().is_ok() {
-                joined += 1;
-            }
-        }
-        // Client threads observe the flag within one poll interval of
-        // finishing their in-flight request.
-        let clients = std::mem::take(
-            &mut *self
-                .client_threads
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner()),
-        );
-        for t in clients {
-            if t.join().is_ok() {
-                joined += 1;
-            }
-        }
-        joined
+    pub fn wait(self) -> usize {
+        let joined = self.transport.join().threads_joined;
+        joined + usize::from(self.health_thread.join().is_ok())
     }
 }
 
@@ -620,8 +605,14 @@ impl RouterHandle {
 pub struct Router;
 
 impl Router {
-    /// Binds the listener, probes the shards once (so the ring starts
-    /// with real health), and spawns the accept + health threads.
+    /// Probes the shards once (so the ring starts with real health),
+    /// starts the transport core with the forwarding handler, and spawns
+    /// the health thread.
+    ///
+    /// The transport runs one event loop with the shard's default frame
+    /// deadline and no connection cap. Its workers spawn on demand, up
+    /// to the most forwards the admission windows can hold
+    /// (`max_in_flight` × shard count).
     ///
     /// # Errors
     ///
@@ -633,8 +624,6 @@ impl Router {
                 "router needs at least one --shard",
             ));
         }
-        let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
         let ring = HashRing::new(config.shards.len(), config.replicas);
         let shards = config
             .shards
@@ -648,15 +637,22 @@ impl Router {
                 forwarded: AtomicU64::new(0),
                 breaker: Breaker::new(),
                 in_flight: AtomicUsize::new(0),
+                idle: Mutex::new(Vec::new()),
             })
             .collect();
+        let core_config = CoreConfig {
+            name: "qcs-router",
+            addr: config.addr.clone(),
+            event_loops: 1,
+            max_connections: usize::MAX,
+            frame_deadline: FRAME_DEADLINE,
+            eager_workers: 0,
+            max_workers: config.max_in_flight.max(1) * config.shards.len(),
+        };
         let shared = Arc::new(RouterShared {
             config,
-            local_addr,
-            shutdown: AtomicBool::new(false),
             ring,
             shards,
-            requests: AtomicU64::new(0),
             reroutes: AtomicU64::new(0),
             forward_errors: AtomicU64::new(0),
             deadline_rejected: AtomicU64::new(0),
@@ -669,49 +665,18 @@ impl Router {
         });
 
         probe_all(&shared);
+        let transport = Transport::start(core_config, Arc::clone(&shared) as Arc<dyn Handler>)?;
 
-        let health_shared = Arc::clone(&shared);
+        let core = Arc::clone(transport.core());
         let health_thread = std::thread::Builder::new()
             .name("qcs-router-health".to_string())
-            .spawn(move || health_loop(&health_shared))
+            .spawn(move || health_loop(&shared, &core.shutdown))
             .expect("spawning the health thread");
 
-        let client_threads = Arc::new(Mutex::new(Vec::new()));
-        let accept_shared = Arc::clone(&shared);
-        let accept_clients = Arc::clone(&client_threads);
-        let accept_thread = std::thread::Builder::new()
-            .name("qcs-router-accept".to_string())
-            .spawn(move || accept_loop(&listener, &accept_shared, &accept_clients))
-            .expect("spawning the accept thread");
-
         Ok(RouterHandle {
-            shared,
-            accept_thread: Some(accept_thread),
-            health_thread: Some(health_thread),
-            client_threads,
+            transport,
+            health_thread,
         })
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<RouterShared>,
-    client_threads: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let shared = Arc::clone(shared);
-        let handle = std::thread::Builder::new()
-            .name("qcs-router-client".to_string())
-            .spawn(move || client_loop(stream, &shared))
-            .expect("spawning a client thread");
-        client_threads
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .push(handle);
     }
 }
 
@@ -743,7 +708,7 @@ fn probe_backoff(config: &RouterConfig, consecutive_failures: u32) -> Duration {
         .min(config.probe_backoff_max.max(interval))
 }
 
-fn health_loop(shared: &RouterShared) {
+fn health_loop(shared: &RouterShared, shutdown: &AtomicBool) {
     let mut rng = SplitMix64::new(shared.config.jitter_seed);
     let start = Instant::now();
     let mut states: Vec<ProbeState> = shared
@@ -762,7 +727,7 @@ fn health_loop(shared: &RouterShared) {
             }
         })
         .collect();
-    while !shared.shutdown.load(Ordering::SeqCst) {
+    while !shutdown.load(Ordering::SeqCst) {
         let now = Instant::now();
         for (idx, state) in states.iter_mut().enumerate() {
             let shard = &shared.shards[idx];
@@ -842,95 +807,6 @@ fn probe_shard(shared: &RouterShared, idx: usize) -> bool {
     }
 }
 
-/// Reads one complete frame from a client, polling so shutdown stays
-/// observable. Frames already decoded from earlier reads drain first.
-/// `None` closes the connection (EOF, shutdown, I/O error, or a framing
-/// error — after queueing an error response for the latter).
-fn next_client_frame(
-    stream: &mut TcpStream,
-    decoder: &mut FrameDecoder,
-    ready: &mut VecDeque<Vec<u8>>,
-    shared: &RouterShared,
-) -> Option<Vec<u8>> {
-    loop {
-        if let Some(frame) = ready.pop_front() {
-            return Some(frame);
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return None;
-        }
-        let mut buf = [0u8; 16 * 1024];
-        match stream.read(&mut buf) {
-            Ok(0) => return None,
-            Ok(n) => {
-                let mut frames = Vec::new();
-                if let Err(e) = decoder.feed(&buf[..n], &mut frames) {
-                    let _ = write_json(stream, &error_response(e.0));
-                    return None;
-                }
-                ready.extend(frames);
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) => {}
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return None,
-        }
-    }
-}
-
-fn client_loop(mut stream: TcpStream, shared: &RouterShared) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-
-    let mut decoder = FrameDecoder::new();
-    let mut ready = VecDeque::new();
-    // One pooled connection per shard, owned by this client thread:
-    // pipelined requests from one client reuse warm shard connections
-    // without any cross-thread locking.
-    let mut pool: Vec<Option<TcpStream>> = (0..shared.shards.len()).map(|_| None).collect();
-
-    while let Some(payload) = next_client_frame(&mut stream, &mut decoder, &mut ready, shared) {
-        let arrival = Instant::now();
-        shared.requests.fetch_add(1, Ordering::SeqCst);
-        let keep_going = match Request::parse(&payload) {
-            Err(e) => write_json(&mut stream, &error_response(e.to_string())).is_ok(),
-            Ok(Request::Ping) => write_json(&mut stream, &Json::object([("type", "pong")])).is_ok(),
-            Ok(Request::Stats) => write_json(&mut stream, &router_stats_json(shared)).is_ok(),
-            Ok(Request::Shutdown) => {
-                let _ = write_json(&mut stream, &Json::object([("type", "ok")]));
-                shared.initiate_shutdown();
-                false
-            }
-            Ok(request @ (Request::Compile(_) | Request::CompileSuite(_))) => {
-                // The deadline is the request's *total* remaining
-                // budget; `arrival` anchors the router's share of it.
-                let deadline = match &request {
-                    Request::Compile(c) => c.deadline_ms.map(Duration::from_millis),
-                    _ => None,
-                };
-                // Only single compiles hedge: a duplicated suite is
-                // never hit-class work, it is a whole benchmark run.
-                let hedgeable = matches!(request, Request::Compile(_));
-                let ctx = ForwardCtx {
-                    key: semantic_route_key(&request, shared),
-                    arrival,
-                    deadline,
-                    hedgeable,
-                };
-                let response = forward(shared, &payload, &ctx, &mut pool);
-                write_frame(&mut stream, &response).is_ok()
-            }
-        };
-        if !keep_going || shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-    }
-}
-
 /// Per-request routing context threaded through [`forward`].
 struct ForwardCtx {
     key: u64,
@@ -989,12 +865,7 @@ struct AttemptOutcome {
 /// per-shard admission windows and circuit breakers, and hedges
 /// cache-hit-class requests. Returns the winning shard's response
 /// payload, or a structured error when no shard could serve.
-fn forward(
-    shared: &RouterShared,
-    payload: &[u8],
-    ctx: &ForwardCtx,
-    pool: &mut [Option<TcpStream>],
-) -> Vec<u8> {
+fn forward(shared: &RouterShared, payload: &[u8], ctx: &ForwardCtx) -> Vec<u8> {
     let hit_class = lock_or_recover(&shared.seen_keys).contains(ctx.key);
 
     // Deadline gate: refuse work whose remaining budget is already gone —
@@ -1079,13 +950,11 @@ fn forward(
 
         attempted = true;
         let outcome = match (backup, hedge_after) {
-            (Some(backup), Some(delay)) => forward_hedged(shared, idx, backup, body, delay, pool),
-            _ => forward_with_retry(shared, idx, body, &mut pool[idx]).map(|response| {
-                AttemptOutcome {
-                    response,
-                    winner: idx,
-                    primary_failed: false,
-                }
+            (Some(backup), Some(delay)) => forward_hedged(shared, idx, backup, body, delay),
+            _ => forward_with_retry(shared, idx, body).map(|response| AttemptOutcome {
+                response,
+                winner: idx,
+                primary_failed: false,
             }),
         };
         match outcome {
@@ -1113,7 +982,7 @@ fn forward(
             Err(_) => {
                 shard.breaker.on_failure(&shared.config, Instant::now());
                 shard.healthy.store(false, Ordering::SeqCst);
-                pool[idx] = None;
+                lock_recovering(&shard.idle).clear();
             }
         }
     }
@@ -1132,22 +1001,18 @@ fn forward(
     json_bytes(error_response("no shard available for request"))
 }
 
-/// One logical forward to shard `idx` over this client's pooled
-/// connection, retrying once on a fresh connection: a pooled socket can
-/// be stale (the shard restarted since the last request) without the
-/// shard being down.
-fn forward_with_retry(
-    shared: &RouterShared,
-    idx: usize,
-    payload: &[u8],
-    slot: &mut Option<TcpStream>,
-) -> io::Result<Vec<u8>> {
+/// One logical forward to shard `idx` over an idle pooled connection,
+/// retrying once on a fresh connection: a pooled socket can be stale
+/// (the shard restarted since the last request) without the shard being
+/// down. A failed exchange drops the shard's idle connections — they
+/// are likely just as stale.
+fn forward_with_retry(shared: &RouterShared, idx: usize, payload: &[u8]) -> io::Result<Vec<u8>> {
     let mut last_err = None;
-    for _ in 0..2 {
-        match forward_once(shared, idx, payload, slot) {
+    for fresh in [false, true] {
+        match forward_once(shared, idx, payload, fresh) {
             Ok(response) => return Ok(response),
             Err(e) => {
-                *slot = None;
+                lock_recovering(&shared.shards[idx].idle).clear();
                 last_err = Some(e);
             }
         }
@@ -1155,26 +1020,45 @@ fn forward_with_retry(
     Err(last_err.unwrap_or_else(|| io::Error::other("forward failed")))
 }
 
-/// One forwarding attempt over this client's pooled connection to shard
-/// `idx`, opening it if needed.
+/// One forwarding attempt to shard `idx`: checks a connection out (a
+/// new one when `fresh`), and back in after a clean exchange.
 fn forward_once(
     shared: &RouterShared,
     idx: usize,
     payload: &[u8],
-    slot: &mut Option<TcpStream>,
+    fresh: bool,
 ) -> io::Result<Vec<u8>> {
-    if slot.is_none() {
-        *slot = Some(connect_shard(shared, idx)?);
-    }
-    let stream = slot.as_mut().expect("just filled");
-    write_frame(stream, payload)?;
-    match read_frame(stream)? {
-        Some(response) => Ok(response),
+    let mut stream = checkout(shared, idx, fresh)?;
+    write_frame(&mut stream, payload)?;
+    match read_frame(&mut stream)? {
+        Some(response) => {
+            checkin(shared, idx, stream);
+            Ok(response)
+        }
         None => Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "shard closed before responding",
         )),
     }
+}
+
+/// An idle connection to shard `idx`, or — when none is idle or `fresh`
+/// is asked for — a new one. Connections to a shard are thereby bounded
+/// by the forwards in flight to it, whatever the worker count.
+fn checkout(shared: &RouterShared, idx: usize, fresh: bool) -> io::Result<TcpStream> {
+    let idle = (!fresh)
+        .then(|| lock_recovering(&shared.shards[idx].idle).pop())
+        .flatten();
+    match idle {
+        Some(stream) => Ok(stream),
+        None => connect_shard(shared, idx),
+    }
+}
+
+/// Returns a connection whose last exchange completed cleanly (exactly
+/// one request, one response) to shard `idx`'s idle list.
+fn checkin(shared: &RouterShared, idx: usize, stream: TcpStream) {
+    lock_recovering(&shared.shards[idx].idle).push(stream);
 }
 
 fn connect_shard(shared: &RouterShared, idx: usize) -> io::Result<TcpStream> {
@@ -1186,21 +1070,12 @@ fn connect_shard(shared: &RouterShared, idx: usize) -> io::Result<TcpStream> {
     Ok(stream)
 }
 
-/// Takes (or opens) the pooled connection to shard `idx` and writes one
-/// request frame on it, reconnecting once if the pooled socket rejects
-/// the write. Ownership of the stream moves to the caller — the hedged
-/// reader decides whether it comes back to the pool.
-fn send_request(
-    shared: &RouterShared,
-    idx: usize,
-    slot: &mut Option<TcpStream>,
-    payload: &[u8],
-) -> io::Result<TcpStream> {
-    for _ in 0..2 {
-        let mut stream = match slot.take() {
-            Some(stream) => stream,
-            None => connect_shard(shared, idx)?,
-        };
+/// Checks out a connection to shard `idx` and writes one request frame
+/// on it, reconnecting once if the pooled socket rejects the write. The
+/// hedged reader decides whether the stream is checked back in.
+fn send_request(shared: &RouterShared, idx: usize, payload: &[u8]) -> io::Result<TcpStream> {
+    for fresh in [false, true] {
+        let mut stream = checkout(shared, idx, fresh)?;
         if write_frame(&mut stream, payload).is_ok() {
             return Ok(stream);
         }
@@ -1214,8 +1089,8 @@ fn send_request(
 /// A hedged forward for a cache-hit-class request: the primary shard
 /// gets `delay` to answer on its own; past that, the same payload fires
 /// at `backup` and the first *complete* response wins. The loser still
-/// owes a response on its connection, so only the winner's socket goes
-/// back to the pool — the other is dropped.
+/// owes a response on its connection, so only the winner's socket is
+/// checked back in — the other is dropped.
 ///
 /// Errors mean the primary leg failed (after a fresh-connection retry)
 /// and no backup response arrived either; the caller replays down the
@@ -1226,13 +1101,12 @@ fn forward_hedged(
     backup: usize,
     payload: &[u8],
     delay: Duration,
-    pool: &mut [Option<TcpStream>],
 ) -> io::Result<AttemptOutcome> {
     let started = Instant::now();
     let overall_deadline = started + shared.config.io_timeout;
     let hedge_at = started + delay;
 
-    let mut primary_stream = Some(send_request(shared, primary, &mut pool[primary], payload)?);
+    let mut primary_stream = Some(send_request(shared, primary, payload)?);
     // Mirror the unhedged path's stale-pool tolerance: one reconnect.
     let mut primary_retries_left = 1u32;
     let mut primary_failed = false;
@@ -1259,7 +1133,7 @@ fn forward_hedged(
                 shared.config.max_in_flight.max(1),
             ) {
                 None => backup_failed = true,
-                Some(slot) => match send_request(shared, backup, &mut pool[backup], payload) {
+                Some(slot) => match send_request(shared, backup, payload) {
                     Ok(stream) => {
                         _backup_slot = Some(slot);
                         backup_stream = Some(stream);
@@ -1303,7 +1177,7 @@ fn forward_hedged(
                     Ok(Some(response)) => {
                         // Exactly one request, one response: the socket
                         // is position-clean and may rejoin the pool.
-                        pool[primary] = Some(stream);
+                        checkin(shared, primary, stream);
                         return Ok(AttemptOutcome {
                             response,
                             winner: primary,
@@ -1313,7 +1187,7 @@ fn forward_hedged(
                     _ => {
                         if primary_retries_left > 0 {
                             primary_retries_left -= 1;
-                            match send_request(shared, primary, &mut pool[primary], payload) {
+                            match send_request(shared, primary, payload) {
                                 Ok(fresh) => primary_stream = Some(fresh),
                                 Err(_) => primary_failed = true,
                             }
@@ -1328,7 +1202,7 @@ fn forward_hedged(
             match read_frame(&mut stream) {
                 Ok(Some(response)) => {
                     shared.hedges_won.fetch_add(1, Ordering::SeqCst);
-                    pool[backup] = Some(stream);
+                    checkin(shared, backup, stream);
                     return Ok(AttemptOutcome {
                         response,
                         winner: backup,
@@ -1342,13 +1216,14 @@ fn forward_hedged(
     }
 }
 
-fn router_stats_json(shared: &RouterShared) -> Json {
+fn router_stats_json(shared: &RouterShared, core: &Core) -> Json {
     Json::object([
         ("type", Json::from("stats")),
         ("role", Json::from("router")),
+        // Every frame decoded off a client socket.
         (
             "requests",
-            Json::from(shared.requests.load(Ordering::SeqCst)),
+            Json::from(core.frames_in.load(Ordering::SeqCst)),
         ),
         (
             "reroutes",
@@ -1412,6 +1287,7 @@ fn router_stats_json(shared: &RouterShared) -> Json {
                     .collect(),
             ),
         ),
+        ("transport", core.transport_json()),
     ])
 }
 

@@ -1,17 +1,18 @@
-//! The daemon: TCP listener, event-loop pool, compute workers, stats.
+//! The daemon: the shard's request handler on the transport core.
 //!
-//! Architecture (one paragraph): an *accept thread* owns the listener,
-//! applies the connection limit, and hands admitted sockets round-robin
-//! to a small fixed pool of *event-loop threads* (see [`crate::event`]).
-//! Each loop multiplexes its connections through `poll(2)` with
-//! non-blocking I/O: per-connection [`crate::frame::FrameDecoder`] state
-//! machines accumulate partial frames across wakeups, cheap control
-//! requests (`ping`, `stats`, `shutdown`) are answered inline, and
-//! compute requests (`compile`, `compile_suite`) are queued to a pool of
-//! *compute workers* whose responses flow back to the owning loop for
-//! buffered, backpressured writes. Batch (`compile_suite`) jobs still
-//! fan out across `qcs_bench::parallel::run_claimed`, the same
-//! claim-by-atomic engine the offline suite harness uses.
+//! Architecture (one paragraph): the transport core
+//! ([`crate::transport`]) owns the listener, the `poll(2)` event loops
+//! and a fixed pool of *compute workers*. Each loop multiplexes its
+//! connections with non-blocking I/O: per-connection
+//! [`crate::frame::FrameDecoder`] state machines accumulate partial
+//! frames across wakeups, cheap control requests (`ping`, `stats`,
+//! `shutdown`) are answered inline, and compute requests (`compile`,
+//! `compile_suite`) are queued to the workers, which run this module's
+//! handler — cache, canonical replay, compile — and hand the response
+//! back to the owning loop for buffered, backpressured writes. Batch
+//! (`compile_suite`) jobs still fan out across
+//! `qcs_bench::parallel::run_claimed`, the same claim-by-atomic engine
+//! the offline suite harness uses.
 //!
 //! The payoff over the previous thread-per-connection design: a worker
 //! is occupied only while *computing*, never while a connection sits
@@ -40,12 +41,11 @@
 
 use std::collections::{HashSet, VecDeque};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::panic::AssertUnwindSafe;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use qcs_json::Json;
@@ -61,12 +61,12 @@ use qcs_rng::SeedableRng;
 
 use crate::cache::{CanonicalHit, CanonicalInfo, ResultCache};
 use crate::compile::{run_job, CanonicalJob, Job};
-use crate::event::{spawn_loops, LoopShared};
 use crate::histogram::LatencyHistogram;
 use crate::persist::Store;
-use crate::protocol::{
-    error_response, shed_response, write_json, CompileRequest, Request, SuiteRequest,
-};
+use crate::protocol::{error_response, CompileRequest, Request, SuiteRequest};
+use crate::transport::{lock_recovering, Core, CoreConfig, Handler, Transport, FRAME_DEADLINE};
+
+pub use crate::transport::ShutdownStats;
 
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -113,29 +113,12 @@ impl Default for ServerConfig {
             event_loops: 2,
             max_connections: 64,
             cache_bytes: 64 << 20,
-            frame_deadline: Duration::from_secs(5),
+            frame_deadline: FRAME_DEADLINE,
             persist_dir: None,
             semantic_cache: true,
             bucket_angles: false,
         }
     }
-}
-
-/// How often idle workers re-check the shutdown flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
-
-/// Back-off hint handed to load-shed clients.
-const SHED_RETRY_MS: u64 = 100;
-
-/// Locks a mutex, recovering from poisoning. Every shared structure here
-/// (job queue, cache, stats) maintains its invariants between
-/// operations, so a panic that unwound through a guard — e.g. an
-/// injected failpoint — leaves consistent data behind and serving can
-/// continue.
-pub(crate) fn lock_recovering<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Per-stage cold-compile histograms for one `placer/router` pipeline.
@@ -295,37 +278,17 @@ impl SeenIds {
     }
 }
 
-/// One compute job queued from an event loop to the worker pool. The
-/// `(loop_idx, token)` pair routes the finished response back to the
-/// connection that asked.
-pub(crate) struct WorkItem {
-    pub(crate) loop_idx: usize,
-    pub(crate) token: u64,
-    pub(crate) request: Request,
-}
-
-pub(crate) struct Shared {
-    pub(crate) config: ServerConfig,
-    local_addr: SocketAddr,
-    pub(crate) shutdown: AtomicBool,
-    jobs: Mutex<VecDeque<WorkItem>>,
-    job_signal: Condvar,
-    /// Admitted (not yet reaped) connections, across all event loops.
-    pub(crate) active: AtomicUsize,
-    loops: OnceLock<Vec<Arc<LoopShared>>>,
+/// The shard's request handler: the cache, its persist store, and the
+/// serving counters and histograms.
+struct Shared {
+    config: ServerConfig,
     jobs_served: AtomicU64,
-    jobs_panicked: AtomicU64,
-    pub(crate) connections_panicked: AtomicU64,
-    connections_shed: AtomicU64,
-    connections_admitted: AtomicU64,
     requests_retried: AtomicU64,
     /// Requests rejected because their end-to-end deadline budget ran
     /// out (or provably would) — total, and the subset refused *before*
     /// any compilation work was spent on them.
     deadline_rejected: AtomicU64,
     deadline_rejected_precompile: AtomicU64,
-    /// Injected transport faults observed by the event loops.
-    pub(crate) transport_faults: AtomicU64,
     persist_errors: AtomicU64,
     /// Requests served from a structurally equivalent cache entry (a
     /// canonical hit that passed replay + re-verification).
@@ -335,59 +298,30 @@ pub(crate) struct Shared {
     /// at an entry the verifier refused — always safe (the client gets
     /// a fresh compile), but worth watching.
     canonical_rejected: AtomicU64,
-    /// Complete request frames decoded off sockets.
-    pub(crate) frames_in: AtomicU64,
-    /// Response frames queued to write buffers.
-    pub(crate) frames_out: AtomicU64,
-    /// Times a read batch ended with a frame still incomplete (the
-    /// partial-frame accumulation path).
-    pub(crate) partial_reads: AtomicU64,
-    /// Times an event loop was woken through its loopback waker.
-    pub(crate) wakeups: AtomicU64,
     seen_ids: Mutex<SeenIds>,
     cache: Mutex<ResultCache>,
     persist: Option<Mutex<Store>>,
     stats: Mutex<ServeStats>,
 }
 
-impl Shared {
-    fn event_loops(&self) -> &[Arc<LoopShared>] {
-        self.loops.get().map(Vec::as_slice).unwrap_or(&[])
+impl Handler for Shared {
+    fn stats(&self, core: &Core) -> Json {
+        stats_json(self, core)
     }
 
-    /// Queues a compute job for the worker pool (called from event
-    /// loops).
-    pub(crate) fn enqueue_job(&self, item: WorkItem) {
-        lock_recovering(&self.jobs).push_back(item);
-        self.job_signal.notify_one();
-    }
-
-    pub(crate) fn initiate_shutdown(&self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
-            return; // already shutting down
+    fn respond(&self, core: &Core, request: &Request, _frame: &[u8]) -> Vec<u8> {
+        match request {
+            Request::Compile(request) => respond_compile(self, core, request),
+            Request::CompileSuite(request) => respond_suite(self, core, request),
+            // Control requests are answered inline by the event loops
+            // and never reach the job queue.
+            Request::Stats | Request::Ping | Request::Shutdown => {
+                error_response("internal error: control request routed to a compute worker")
+                    .to_compact_string()
+                    .into_bytes()
+            }
         }
-        self.job_signal.notify_all();
-        for event_loop in self.event_loops() {
-            event_loop.wake();
-        }
-        // The accept thread may be parked in accept(): poke it awake.
-        let _ = TcpStream::connect(self.local_addr);
     }
-}
-
-/// What the daemon's threads reported at join time.
-///
-/// Panic isolation means worker threads normally survive even panicking
-/// jobs; a nonzero [`threads_panicked`](ShutdownStats::threads_panicked)
-/// therefore signals a bug in the serving loop itself, not in a job.
-/// Shutdown still completes cleanly either way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShutdownStats {
-    /// Daemon threads that exited normally.
-    pub threads_joined: usize,
-    /// Daemon threads that died panicking (their panic is swallowed at
-    /// join time so shutdown always completes).
-    pub threads_panicked: usize,
 }
 
 /// The running daemon: address + thread handles.
@@ -396,45 +330,25 @@ pub struct ShutdownStats {
 /// or [`wait`](ServerHandle::wait) detaches the threads (the daemon keeps
 /// running until a protocol `shutdown` arrives).
 pub struct ServerHandle {
-    shared: Arc<Shared>,
-    accept_thread: Option<JoinHandle<()>>,
-    loop_threads: Vec<JoinHandle<()>>,
-    worker_threads: Vec<JoinHandle<()>>,
+    transport: Transport,
 }
 
 impl ServerHandle {
     /// The daemon's bound address (useful with ephemeral ports).
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.local_addr
+        self.transport.local_addr()
     }
 
     /// Requests shutdown and joins every daemon thread.
-    pub fn shutdown(mut self) -> ShutdownStats {
-        self.shared.initiate_shutdown();
-        self.join_all()
+    pub fn shutdown(self) -> ShutdownStats {
+        self.transport.core().initiate_shutdown();
+        self.transport.join()
     }
 
     /// Blocks until the daemon shuts down (via a protocol `shutdown`
     /// request) and joins every daemon thread.
-    pub fn wait(mut self) -> ShutdownStats {
-        self.join_all()
-    }
-
-    fn join_all(&mut self) -> ShutdownStats {
-        let mut stats = ShutdownStats::default();
-        let threads = self
-            .accept_thread
-            .take()
-            .into_iter()
-            .chain(self.loop_threads.drain(..))
-            .chain(self.worker_threads.drain(..));
-        for t in threads {
-            match t.join() {
-                Ok(()) => stats.threads_joined += 1,
-                Err(_) => stats.threads_panicked += 1,
-            }
-        }
-        stats
+    pub fn wait(self) -> ShutdownStats {
+        self.transport.join()
     }
 }
 
@@ -442,20 +356,16 @@ impl ServerHandle {
 pub struct Server;
 
 impl Server {
-    /// Binds the listener, spawns the event-loop pool, the compute
-    /// worker pool and the accept thread, and returns a handle.
+    /// Replays the persist directory (when configured), then starts the
+    /// transport core — listener, event loops, compute workers, accept
+    /// thread — with the shard handler, and returns a handle.
     ///
     /// # Errors
     ///
-    /// Propagates socket errors (bind failure, unparsable address).
+    /// Propagates socket errors (bind failure, unparsable address) and
+    /// persist-directory errors.
     pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
         assert!(config.workers > 0, "worker count must be at least 1");
-        assert!(
-            config.event_loops > 0,
-            "event-loop count must be at least 1"
-        );
-        let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
 
         // Warm restart: replay the persist directory into the in-memory
         // cache before the first connection is accepted. Recovery order
@@ -480,144 +390,32 @@ impl Server {
             None => None,
         };
 
+        let core_config = CoreConfig {
+            name: "qcs-serve",
+            addr: config.addr.clone(),
+            event_loops: config.event_loops,
+            max_connections: config.max_connections,
+            frame_deadline: config.frame_deadline,
+            eager_workers: config.workers,
+            max_workers: config.workers,
+        };
         let shared = Arc::new(Shared {
             config,
-            local_addr,
-            shutdown: AtomicBool::new(false),
-            jobs: Mutex::new(VecDeque::new()),
-            job_signal: Condvar::new(),
-            active: AtomicUsize::new(0),
-            loops: OnceLock::new(),
             jobs_served: AtomicU64::new(0),
-            jobs_panicked: AtomicU64::new(0),
-            connections_panicked: AtomicU64::new(0),
-            connections_shed: AtomicU64::new(0),
-            connections_admitted: AtomicU64::new(0),
             requests_retried: AtomicU64::new(0),
             deadline_rejected: AtomicU64::new(0),
             deadline_rejected_precompile: AtomicU64::new(0),
-            transport_faults: AtomicU64::new(0),
             persist_errors: AtomicU64::new(0),
             canonical_hits: AtomicU64::new(0),
             canonical_rejected: AtomicU64::new(0),
-            frames_in: AtomicU64::new(0),
-            frames_out: AtomicU64::new(0),
-            partial_reads: AtomicU64::new(0),
-            wakeups: AtomicU64::new(0),
             seen_ids: Mutex::new(SeenIds::new()),
             cache: Mutex::new(cache),
             persist,
             stats: Mutex::new(ServeStats::new()),
         });
-
-        let (loop_shared, loop_threads) = spawn_loops(&shared, shared.config.event_loops)?;
-        shared
-            .loops
-            .set(loop_shared)
-            .unwrap_or_else(|_| unreachable!("loops are set exactly once, here"));
-
-        let worker_threads = (0..shared.config.workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("qcs-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawning a worker thread")
-            })
-            .collect();
-
-        let accept_shared = Arc::clone(&shared);
-        let accept_thread = std::thread::Builder::new()
-            .name("qcs-serve-accept".to_string())
-            .spawn(move || accept_loop(&listener, &accept_shared))
-            .expect("spawning the accept thread");
-
         Ok(ServerHandle {
-            shared,
-            accept_thread: Some(accept_thread),
-            loop_threads,
-            worker_threads,
+            transport: Transport::start(core_config, shared)?,
         })
-    }
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Shared) {
-    let loops = shared.event_loops();
-    let mut next_loop = 0usize;
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break; // the stream (often the shutdown self-poke) is dropped
-        }
-        let Ok(stream) = stream else { continue };
-        if shared.active.load(Ordering::SeqCst) >= shared.config.max_connections {
-            shared.connections_shed.fetch_add(1, Ordering::SeqCst);
-            reject_connection(stream);
-            continue;
-        }
-        // Admit: the counter covers the connection until its owning loop
-        // reaps it (including registration-failpoint deaths).
-        shared.active.fetch_add(1, Ordering::SeqCst);
-        shared.connections_admitted.fetch_add(1, Ordering::SeqCst);
-        loops[next_loop].inject(stream);
-        next_loop = (next_loop + 1) % loops.len();
-    }
-}
-
-/// Tells an over-limit client why it is being turned away and when to
-/// come back.
-fn reject_connection(mut stream: TcpStream) {
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let _ = write_json(
-        &mut stream,
-        &shed_response("server at connection capacity, retry later", SHED_RETRY_MS),
-    );
-}
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let item = {
-            let mut jobs = lock_recovering(&shared.jobs);
-            loop {
-                if let Some(item) = jobs.pop_front() {
-                    break Some(item);
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break None;
-                }
-                let (q, _) = shared
-                    .job_signal
-                    .wait_timeout(jobs, POLL_INTERVAL)
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                jobs = q;
-            }
-        };
-        let Some(item) = item else { return };
-        // Belt and braces: the per-job catch in `respond_compile` should
-        // make this outer catch unreachable, but a worker must never die
-        // — it would strand every connection whose jobs it was serving.
-        let response = std::panic::catch_unwind(AssertUnwindSafe(|| match &item.request {
-            Request::Compile(request) => respond_compile(shared, request),
-            Request::CompileSuite(request) => respond_suite(shared, request),
-            // Control requests are answered inline by the event loops
-            // and never reach the job queue.
-            Request::Stats | Request::Ping | Request::Shutdown => {
-                error_response("internal error: control request routed to a compute worker")
-                    .to_compact_string()
-                    .into_bytes()
-            }
-        }))
-        .unwrap_or_else(|panic| {
-            shared.jobs_panicked.fetch_add(1, Ordering::SeqCst);
-            error_response(format!(
-                "request handler panicked: {}",
-                panic_message(panic.as_ref())
-            ))
-            .to_compact_string()
-            .into_bytes()
-        });
-        if let Some(event_loop) = shared.event_loops().get(item.loop_idx) {
-            event_loop.complete(item.token, response);
-        }
     }
 }
 
@@ -1053,7 +851,7 @@ fn tag_request_id(value: Json, id: &Option<String>) -> Json {
 
 /// Serves one `compile` request, returning the response payload bytes
 /// (unframed — the owning event loop adds the length prefix).
-fn respond_compile(shared: &Shared, request: &CompileRequest) -> Vec<u8> {
+fn respond_compile(shared: &Shared, core: &Core, request: &CompileRequest) -> Vec<u8> {
     // A request id seen before marks a client retry — worth counting
     // separately from organic traffic when reading stats after an
     // incident.
@@ -1076,7 +874,7 @@ fn respond_compile(shared: &Shared, request: &CompileRequest) -> Vec<u8> {
             .to_compact_string()
             .into_bytes(),
         Err(panic) => {
-            shared.jobs_panicked.fetch_add(1, Ordering::SeqCst);
+            core.jobs_panicked.fetch_add(1, Ordering::SeqCst);
             let message = format!("compilation panicked: {}", panic_message(panic.as_ref()));
             tag_request_id(error_response(message), &request.request_id)
                 .to_compact_string()
@@ -1087,7 +885,7 @@ fn respond_compile(shared: &Shared, request: &CompileRequest) -> Vec<u8> {
 
 /// Serves one `compile_suite` request, returning the response payload
 /// bytes (unframed).
-fn respond_suite(shared: &Shared, request: &SuiteRequest) -> Vec<u8> {
+fn respond_suite(shared: &Shared, core: &Core, request: &SuiteRequest) -> Vec<u8> {
     if request.count == 0 || request.count > 10_000 {
         return error_response("suite count must be in 1..=10000")
             .to_compact_string()
@@ -1148,7 +946,7 @@ fn respond_suite(shared: &Shared, request: &SuiteRequest) -> Vec<u8> {
                     }
                     Ok(Err(e)) => Err(e.to_string()),
                     Err(panic) => {
-                        shared.jobs_panicked.fetch_add(1, Ordering::SeqCst);
+                        core.jobs_panicked.fetch_add(1, Ordering::SeqCst);
                         Err(format!(
                             "compilation panicked: {}",
                             panic_message(panic.as_ref())
@@ -1181,7 +979,7 @@ fn respond_suite(shared: &Shared, request: &SuiteRequest) -> Vec<u8> {
     response.to_compact_string().into_bytes()
 }
 
-pub(crate) fn stats_json(shared: &Shared) -> Json {
+fn stats_json(shared: &Shared, core: &Core) -> Json {
     let cache = lock_recovering(&shared.cache).stats();
     let stats = lock_recovering(&shared.stats);
     let mut value = Json::object([
@@ -1192,7 +990,7 @@ pub(crate) fn stats_json(shared: &Shared) -> Json {
         ),
         (
             "active_connections",
-            Json::from(shared.active.load(Ordering::SeqCst)),
+            Json::from(core.active.load(Ordering::SeqCst)),
         ),
         (
             "requests_retried",
@@ -1228,47 +1026,25 @@ pub(crate) fn stats_json(shared: &Shared) -> Json {
             ]),
         ),
         ("portfolio", stats.portfolio.to_json()),
-        (
-            "transport",
-            Json::object([
-                ("event_loops", Json::from(shared.config.event_loops)),
-                (
-                    "connections_admitted",
-                    Json::from(shared.connections_admitted.load(Ordering::SeqCst)),
-                ),
-                (
-                    "frames_in",
-                    Json::from(shared.frames_in.load(Ordering::SeqCst)),
-                ),
-                (
-                    "frames_out",
-                    Json::from(shared.frames_out.load(Ordering::SeqCst)),
-                ),
-                (
-                    "partial_reads",
-                    Json::from(shared.partial_reads.load(Ordering::SeqCst)),
-                ),
-                ("wakeups", Json::from(shared.wakeups.load(Ordering::SeqCst))),
-            ]),
-        ),
+        ("transport", core.transport_json()),
         (
             "faults",
             Json::object([
                 (
                     "jobs_panicked",
-                    Json::from(shared.jobs_panicked.load(Ordering::SeqCst)),
+                    Json::from(core.jobs_panicked.load(Ordering::SeqCst)),
                 ),
                 (
                     "connections_panicked",
-                    Json::from(shared.connections_panicked.load(Ordering::SeqCst)),
+                    Json::from(core.connections_panicked.load(Ordering::SeqCst)),
                 ),
                 (
                     "connections_shed",
-                    Json::from(shared.connections_shed.load(Ordering::SeqCst)),
+                    Json::from(core.connections_shed.load(Ordering::SeqCst)),
                 ),
                 (
                     "transport_faults",
-                    Json::from(shared.transport_faults.load(Ordering::SeqCst)),
+                    Json::from(core.transport_faults.load(Ordering::SeqCst)),
                 ),
             ]),
         ),
