@@ -49,6 +49,7 @@ pub mod cache;
 pub mod catalog;
 pub mod compile;
 mod event;
+mod fifo;
 pub mod frame;
 pub mod histogram;
 pub mod persist;

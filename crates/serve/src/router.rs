@@ -73,7 +73,6 @@
 //! shards directly), and `shutdown` (stops the router; shards are
 //! independent processes with their own lifecycle).
 
-use std::collections::{HashSet, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
@@ -87,6 +86,7 @@ use qcs_json::Json;
 use qcs_rng::{RngCore, SplitMix64};
 use qcs_sys::{poll_fds, PollFd, POLLIN};
 
+use crate::fifo::FifoMap;
 use crate::histogram::LatencyHistogram;
 use crate::protocol::{
     deadline_response, error_response, read_frame, rewrite_deadline_ms, shed_response, write_frame,
@@ -215,41 +215,7 @@ impl HashRing {
 /// Bound on the canonical-route-key memo: enough to cover any realistic
 /// working set of distinct request texts, small enough to never matter
 /// for memory (two u64 per entry).
-const CANON_KEY_MEMO_CAP: usize = 16_384;
-
-/// A bounded text-hash → canonical-route-key memo. Canonicalizing a
-/// circuit costs real CPU (parse + relabel + normal-order); memoizing on
-/// the cheap text hash means each distinct request body pays it once per
-/// router. Oldest entries age out first.
-struct CanonKeyMemo {
-    map: std::collections::HashMap<u64, u64>,
-    order: VecDeque<u64>,
-}
-
-impl CanonKeyMemo {
-    fn new() -> CanonKeyMemo {
-        CanonKeyMemo {
-            map: std::collections::HashMap::new(),
-            order: VecDeque::new(),
-        }
-    }
-
-    fn get(&self, text_key: u64) -> Option<u64> {
-        self.map.get(&text_key).copied()
-    }
-
-    fn note(&mut self, text_key: u64, canon_key: u64) {
-        if self.map.insert(text_key, canon_key).is_some() {
-            return;
-        }
-        self.order.push_back(text_key);
-        if self.order.len() > CANON_KEY_MEMO_CAP {
-            if let Some(oldest) = self.order.pop_front() {
-                self.map.remove(&oldest);
-            }
-        }
-    }
-}
+pub(crate) const CANON_KEY_MEMO_CAP: usize = 16_384;
 
 /// The *semantic* routing key for single compiles: the job's canonical
 /// digest (see [`crate::compile::Job::canonicalize`]), so structurally
@@ -263,11 +229,11 @@ fn semantic_route_key(request: &Request, shared: &RouterShared) -> u64 {
     let Request::Compile(_) = request else {
         return text_key;
     };
-    if let Some(known) = lock_memo(shared).get(text_key) {
+    if let Some(&known) = lock_recovering(&shared.canon_keys).get(&text_key) {
         return known;
     }
     let canon_key = canonical_route_key(request).unwrap_or(text_key);
-    lock_memo(shared).note(text_key, canon_key);
+    lock_recovering(&shared.canon_keys).insert(text_key, canon_key);
     canon_key
 }
 
@@ -282,13 +248,6 @@ fn canonical_route_key(request: &Request) -> Option<u64> {
         job.canonicalize(&qcs_circuit::canon::CanonConfig::default())
             .digest,
     )
-}
-
-fn lock_memo(shared: &RouterShared) -> std::sync::MutexGuard<'_, CanonKeyMemo> {
-    shared
-        .canon_keys
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// The routing key: a stable hash of the fields that determine which
@@ -363,12 +322,8 @@ impl Breaker {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, BreakerPhase> {
-        self.phase.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
     fn admit(&self, now: Instant) -> BreakerAdmit {
-        let mut phase = self.lock();
+        let mut phase = lock_recovering(&self.phase);
         match &mut *phase {
             BreakerPhase::Closed { .. } => BreakerAdmit::Yes,
             BreakerPhase::Open { until, streak } => {
@@ -399,11 +354,11 @@ impl Breaker {
     /// reach: the shard evidently works, so waiting out the cooldown
     /// would only prolong the brown-out.
     fn on_success(&self) {
-        *self.lock() = BreakerPhase::Closed { failures: 0 };
+        *lock_recovering(&self.phase) = BreakerPhase::Closed { failures: 0 };
     }
 
     fn on_failure(&self, config: &RouterConfig, now: Instant) {
-        let mut phase = self.lock();
+        let mut phase = lock_recovering(&self.phase);
         let reopen = |streak: u32| {
             let exp = streak.min(5);
             let cooldown = config
@@ -434,7 +389,7 @@ impl Breaker {
     }
 
     fn phase_name(&self) -> &'static str {
-        match &*self.lock() {
+        match &*lock_recovering(&self.phase) {
             BreakerPhase::Closed { .. } => "closed",
             BreakerPhase::Open { .. } => "open",
             BreakerPhase::HalfOpen { .. } => "half-open",
@@ -477,39 +432,7 @@ fn try_acquire_slot(counter: &AtomicUsize, cap: usize) -> Option<InFlightSlot<'_
 
 /// Bound on remembered routing keys for hit-class detection: covers any
 /// realistic working set of distinct circuits while staying ~1 MiB.
-const SEEN_KEYS_CAP: usize = 65_536;
-
-/// A bounded memory of routing keys that have been served successfully —
-/// the definition of "cache-hit class" for hedging. Oldest age out first.
-struct SeenKeys {
-    set: HashSet<u64>,
-    order: VecDeque<u64>,
-}
-
-impl SeenKeys {
-    fn new() -> SeenKeys {
-        SeenKeys {
-            set: HashSet::new(),
-            order: VecDeque::new(),
-        }
-    }
-
-    fn contains(&self, key: u64) -> bool {
-        self.set.contains(&key)
-    }
-
-    fn note(&mut self, key: u64) {
-        if !self.set.insert(key) {
-            return;
-        }
-        self.order.push_back(key);
-        if self.order.len() > SEEN_KEYS_CAP {
-            if let Some(oldest) = self.order.pop_front() {
-                self.set.remove(&oldest);
-            }
-        }
-    }
-}
+pub(crate) const SEEN_KEYS_CAP: usize = 65_536;
 
 struct RouterShared {
     config: RouterConfig,
@@ -524,12 +447,17 @@ struct RouterShared {
     admission_shed: AtomicU64,
     hedges_fired: AtomicU64,
     hedges_won: AtomicU64,
-    seen_keys: Mutex<SeenKeys>,
+    /// Routing keys that have been served successfully — the definition
+    /// of "cache-hit class" for hedging.
+    seen_keys: Mutex<FifoMap<u64>>,
     /// Forward latency of cache-hit-class requests — the distribution
     /// the hedge delay is derived from.
     hit_latency: Mutex<LatencyHistogram>,
-    /// Text-hash → canonical routing key memo (see [`CanonKeyMemo`]).
-    canon_keys: Mutex<CanonKeyMemo>,
+    /// Text-hash → canonical routing key memo. Canonicalizing a circuit
+    /// costs real CPU (parse + relabel + normal-order); memoizing on the
+    /// cheap text hash means each distinct request body pays it once per
+    /// router.
+    canon_keys: Mutex<FifoMap<u64, u64>>,
 }
 
 impl RouterShared {
@@ -659,9 +587,9 @@ impl Router {
             admission_shed: AtomicU64::new(0),
             hedges_fired: AtomicU64::new(0),
             hedges_won: AtomicU64::new(0),
-            seen_keys: Mutex::new(SeenKeys::new()),
+            seen_keys: Mutex::new(FifoMap::new(SEEN_KEYS_CAP)),
             hit_latency: Mutex::new(LatencyHistogram::default()),
-            canon_keys: Mutex::new(CanonKeyMemo::new()),
+            canon_keys: Mutex::new(FifoMap::new(CANON_KEY_MEMO_CAP)),
         });
 
         probe_all(&shared);
@@ -826,19 +754,13 @@ impl ForwardCtx {
     }
 }
 
-fn lock_or_recover<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 /// The hedge delay: the configured pin, or the observed hit-class
 /// forward p99 clamped to [1ms, 100ms] once enough observations exist.
 fn hedge_delay(shared: &RouterShared) -> Option<Duration> {
     if let Some(pinned) = shared.config.hedge_after {
         return Some(pinned);
     }
-    let hist = lock_or_recover(&shared.hit_latency);
+    let hist = lock_recovering(&shared.hit_latency);
     if hist.count() < shared.config.hedge_min_observations.max(1) {
         return None;
     }
@@ -866,7 +788,7 @@ struct AttemptOutcome {
 /// cache-hit-class requests. Returns the winning shard's response
 /// payload, or a structured error when no shard could serve.
 fn forward(shared: &RouterShared, payload: &[u8], ctx: &ForwardCtx) -> Vec<u8> {
-    let hit_class = lock_or_recover(&shared.seen_keys).contains(ctx.key);
+    let hit_class = lock_recovering(&shared.seen_keys).contains(&ctx.key);
 
     // Deadline gate: refuse work whose remaining budget is already gone —
     // better a fast structured refusal than a doomed forward. Predicting
@@ -973,9 +895,9 @@ fn forward(shared: &RouterShared, payload: &[u8], ctx: &ForwardCtx) -> Vec<u8> {
                     if hit_class {
                         let micros =
                             u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                        lock_or_recover(&shared.hit_latency).record(micros);
+                        lock_recovering(&shared.hit_latency).record(micros);
                     }
-                    lock_or_recover(&shared.seen_keys).note(ctx.key);
+                    lock_recovering(&shared.seen_keys).insert(ctx.key, ());
                 }
                 return outcome.response;
             }
@@ -1403,7 +1325,7 @@ mod tests {
             now += Duration::from_secs(1);
             assert_eq!(breaker.admit(now), BreakerAdmit::Probe, "round {round}");
             breaker.on_failure(&config, now);
-            let until = match &*breaker.lock() {
+            let until = match &*lock_recovering(&breaker.phase) {
                 BreakerPhase::Open { until, .. } => *until,
                 other_phase => panic!(
                     "expected open after failed probe, got {}",
@@ -1456,21 +1378,6 @@ mod tests {
         drop(b);
         drop(c);
         assert_eq!(counter.load(Ordering::SeqCst), 0);
-    }
-
-    #[test]
-    fn seen_keys_remember_and_evict_oldest() {
-        let mut seen = SeenKeys::new();
-        seen.note(7);
-        seen.note(7); // duplicate must not occupy a second slot
-        assert!(seen.contains(7));
-        for key in 0..(SEEN_KEYS_CAP as u64) {
-            seen.note(1_000_000 + key);
-        }
-        assert!(!seen.contains(7), "oldest key evicted at capacity");
-        assert!(seen.contains(1_000_000 + SEEN_KEYS_CAP as u64 - 1));
-        assert_eq!(seen.set.len(), SEEN_KEYS_CAP);
-        assert_eq!(seen.order.len(), SEEN_KEYS_CAP);
     }
 
     #[test]
@@ -1563,16 +1470,5 @@ mod tests {
             c.device = "warp-core".to_string();
         }
         assert!(canonical_route_key(&bad).is_none());
-
-        let memo_cycle = {
-            let mut memo = CanonKeyMemo::new();
-            memo.note(1, 100);
-            assert_eq!(memo.get(1), Some(100));
-            for i in 2..(CANON_KEY_MEMO_CAP as u64 + 3) {
-                memo.note(i, i);
-            }
-            memo.get(1)
-        };
-        assert_eq!(memo_cycle, None, "oldest memo entries age out");
     }
 }

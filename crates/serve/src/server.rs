@@ -39,7 +39,6 @@
 //!   handle. Threads that died panicking are recorded in
 //!   [`ShutdownStats`] rather than re-panicking the caller.
 
-use std::collections::{HashSet, VecDeque};
 use std::io;
 use std::net::SocketAddr;
 use std::panic::AssertUnwindSafe;
@@ -61,6 +60,7 @@ use qcs_rng::SeedableRng;
 
 use crate::cache::{CanonicalHit, CanonicalInfo, ResultCache};
 use crate::compile::{run_job, CanonicalJob, Job};
+use crate::fifo::FifoMap;
 use crate::histogram::LatencyHistogram;
 use crate::persist::Store;
 use crate::protocol::{error_response, CompileRequest, Request, SuiteRequest};
@@ -247,37 +247,6 @@ impl ServeStats {
 /// window, small enough to never matter for memory.
 const SEEN_IDS_CAP: usize = 4096;
 
-/// A bounded memory of client request ids, for telling retries apart
-/// from new requests. Oldest ids age out first.
-struct SeenIds {
-    set: HashSet<String>,
-    order: VecDeque<String>,
-}
-
-impl SeenIds {
-    fn new() -> Self {
-        SeenIds {
-            set: HashSet::new(),
-            order: VecDeque::new(),
-        }
-    }
-
-    /// Records `id`; returns true when it was already known (a retry).
-    fn note(&mut self, id: &str) -> bool {
-        if self.set.contains(id) {
-            return true;
-        }
-        self.set.insert(id.to_string());
-        self.order.push_back(id.to_string());
-        if self.order.len() > SEEN_IDS_CAP {
-            if let Some(oldest) = self.order.pop_front() {
-                self.set.remove(&oldest);
-            }
-        }
-        false
-    }
-}
-
 /// The shard's request handler: the cache, its persist store, and the
 /// serving counters and histograms.
 struct Shared {
@@ -298,7 +267,9 @@ struct Shared {
     /// at an entry the verifier refused — always safe (the client gets
     /// a fresh compile), but worth watching.
     canonical_rejected: AtomicU64,
-    seen_ids: Mutex<SeenIds>,
+    /// Client request ids seen recently, for telling retries apart from
+    /// new requests.
+    seen_ids: Mutex<FifoMap<String>>,
     cache: Mutex<ResultCache>,
     persist: Option<Mutex<Store>>,
     stats: Mutex<ServeStats>,
@@ -408,7 +379,7 @@ impl Server {
             persist_errors: AtomicU64::new(0),
             canonical_hits: AtomicU64::new(0),
             canonical_rejected: AtomicU64::new(0),
-            seen_ids: Mutex::new(SeenIds::new()),
+            seen_ids: Mutex::new(FifoMap::new(SEEN_IDS_CAP)),
             cache: Mutex::new(cache),
             persist,
             stats: Mutex::new(ServeStats::new()),
@@ -856,8 +827,11 @@ fn respond_compile(shared: &Shared, core: &Core, request: &CompileRequest) -> Ve
     // separately from organic traffic when reading stats after an
     // incident.
     if let Some(id) = &request.request_id {
-        if lock_recovering(&shared.seen_ids).note(id) {
+        let mut seen = lock_recovering(&shared.seen_ids);
+        if seen.contains(id.as_str()) {
             shared.requests_retried.fetch_add(1, Ordering::SeqCst);
+        } else {
+            seen.insert(id.clone(), ());
         }
     }
     // Panic isolation: a compile that panics — a pipeline bug or an
