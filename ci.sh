@@ -50,6 +50,13 @@
 #                                       vs exact keying) counters exact,
 #                                       latency and rps within the same
 #                                       wall budget
+#  15. router cross-check               a short traced stackbench near_dup_mix
+#                                       run: fails if the router's placement
+#                                       (ring, canonical-key memo) drifts
+#                                       from the benchmark's mirror, or if
+#                                       the per-shard forwarded counts do not
+#                                       add up (closed loop, so no schedule
+#                                       check can fail it)
 set -eu
 
 echo "==> cargo build --release"
@@ -96,5 +103,9 @@ echo "==> benchmark regression gate"
 
 echo "==> serving regression gate"
 ./target/release/bench_load --check
+
+echo "==> router cross-check"
+cargo run --release --offline --locked --quiet --manifest-path stackbench/Cargo.toml -- \
+    --workload near_dup_mix --seed 5 --seconds 2 --trace 1
 
 echo "CI OK"
