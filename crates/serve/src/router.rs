@@ -11,6 +11,22 @@
 //! slice of the keyspace and the fleet-wide hit rate matches a single
 //! giant cache without any cross-shard coordination.
 //!
+//! **Transport.** The router runs on the same transport core as a shard
+//! ([`crate::transport`]): its client sockets live in the `event.rs`
+//! `poll(2)` loop, which decodes frames, answers `ping`/`stats`/
+//! `shutdown` inline, enforces the mid-frame read deadline, and queues
+//! each `compile`/`compile_suite` — parsed request plus raw frame bytes
+//! — to a worker. The worker computes the routing key and runs the
+//! blocking forward below. The transport is fixed in code: one event
+//! loop, the shard's default 5 s frame deadline, no connection cap. The
+//! worker pool starts empty and spawns a thread only when a forward is
+//! queued and no worker is idle, up to [`RouterConfig::max_in_flight`] ×
+//! shard count — the most forwards the admission windows can hold — so
+//! the router's threads track concurrent forwards, not connections.
+//! Upstream sockets sit in one idle list per shard: a forward checks one
+//! out and back in after a clean exchange, so connections to a shard are
+//! bounded by the forwards in flight to it.
+//!
 //! **The ring.** Each shard contributes [`RouterConfig::replicas`]
 //! virtual nodes — FNV-1a points on a sorted `u64` circle. A request key
 //! binary-searches to its successor point and walks clockwise; the walk
@@ -22,7 +38,7 @@
 //!
 //! **Failure handling.** Forwarding is retried down the walk order: a
 //! shard that refuses connections or breaks mid-exchange is marked
-//! unhealthy, its pooled connection dropped, and the request replayed to
+//! unhealthy, its idle connections dropped, and the request replayed to
 //! the next candidate. Replaying is safe because shard requests are
 //! idempotent — compilation is a pure function plus a cache. A
 //! background probe thread pings every shard around each
