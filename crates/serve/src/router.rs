@@ -920,7 +920,7 @@ fn forward(shared: &RouterShared, payload: &[u8], ctx: &ForwardCtx) -> Vec<u8> {
             Err(_) => {
                 shard.breaker.on_failure(&shared.config, Instant::now());
                 shard.healthy.store(false, Ordering::SeqCst);
-                lock_recovering(&shard.idle).clear();
+                drop_idle(shared, idx);
             }
         }
     }
@@ -950,7 +950,7 @@ fn forward_with_retry(shared: &RouterShared, idx: usize, payload: &[u8]) -> io::
         match forward_once(shared, idx, payload, fresh) {
             Ok(response) => return Ok(response),
             Err(e) => {
-                lock_recovering(&shared.shards[idx].idle).clear();
+                drop_idle(shared, idx);
                 last_err = Some(e);
             }
         }
@@ -999,6 +999,12 @@ fn checkin(shared: &RouterShared, idx: usize, stream: TcpStream) {
     lock_recovering(&shared.shards[idx].idle).push(stream);
 }
 
+/// Drops shard `idx`'s idle connections after a failed exchange: they
+/// are likely as stale as the one that failed.
+fn drop_idle(shared: &RouterShared, idx: usize) {
+    lock_recovering(&shared.shards[idx].idle).clear();
+}
+
 fn connect_shard(shared: &RouterShared, idx: usize) -> io::Result<TcpStream> {
     let addr = shared.shard_addr(idx)?;
     let stream = TcpStream::connect_timeout(&addr, shared.config.connect_timeout)?;
@@ -1017,6 +1023,7 @@ fn send_request(shared: &RouterShared, idx: usize, payload: &[u8]) -> io::Result
         if write_frame(&mut stream, payload).is_ok() {
             return Ok(stream);
         }
+        drop_idle(shared, idx);
     }
     Err(io::Error::new(
         io::ErrorKind::BrokenPipe,
@@ -1123,6 +1130,7 @@ fn forward_hedged(
                         });
                     }
                     _ => {
+                        drop_idle(shared, primary);
                         if primary_retries_left > 0 {
                             primary_retries_left -= 1;
                             match send_request(shared, primary, payload) {
@@ -1147,7 +1155,10 @@ fn forward_hedged(
                         primary_failed,
                     });
                 }
-                _ => backup_failed = true,
+                _ => {
+                    drop_idle(shared, backup);
+                    backup_failed = true;
+                }
             }
             break;
         }
