@@ -550,13 +550,8 @@ pub struct Router;
 
 impl Router {
     /// Probes the shards once (so the ring starts with real health),
-    /// starts the transport core with the forwarding handler, and spawns
-    /// the health thread.
-    ///
-    /// The transport runs one event loop with the shard's default frame
-    /// deadline and no connection cap. Its workers spawn on demand, up
-    /// to the most forwards the admission windows can hold
-    /// (`max_in_flight` × shard count).
+    /// starts the transport core with the forwarding handler (see the
+    /// module doc's **Transport**), and spawns the health thread.
     ///
     /// # Errors
     ///
@@ -984,13 +979,12 @@ fn forward_once(
 /// is asked for — a new one. Connections to a shard are thereby bounded
 /// by the forwards in flight to it, whatever the worker count.
 fn checkout(shared: &RouterShared, idx: usize, fresh: bool) -> io::Result<TcpStream> {
-    let idle = (!fresh)
-        .then(|| lock_recovering(&shared.shards[idx].idle).pop())
-        .flatten();
-    match idle {
-        Some(stream) => Ok(stream),
-        None => connect_shard(shared, idx),
+    if !fresh {
+        if let Some(stream) = lock_recovering(&shared.shards[idx].idle).pop() {
+            return Ok(stream);
+        }
     }
+    connect_shard(shared, idx)
 }
 
 /// Returns a connection whose last exchange completed cleanly (exactly

@@ -336,8 +336,6 @@ impl Server {
     /// Propagates socket errors (bind failure, unparsable address) and
     /// persist-directory errors.
     pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
-        assert!(config.workers > 0, "worker count must be at least 1");
-
         // Warm restart: replay the persist directory into the in-memory
         // cache before the first connection is accepted. Recovery order
         // is LRU-faithful, so the warmed cache evicts the same way the
