@@ -1,9 +1,13 @@
 //! Integration tests for the consistent-hash sharding router: three
 //! in-process shard daemons behind one router, exercising routing
-//! stability, cache locality, and rerouting around a dead shard.
+//! stability, cache locality, and rerouting around a dead shard; and
+//! scripted stand-in shards that stall, hang up or tear responses, to
+//! pin what a hedge and the fresh-connection retry do.
 
-use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::collections::HashSet;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use qcs_json::Json;
 use qcs_serve::protocol::{read_frame, write_frame};
@@ -11,8 +15,12 @@ use qcs_serve::router::{Router, RouterConfig, RouterHandle};
 use qcs_serve::server::{Server, ServerConfig, ServerHandle};
 
 fn start_shard() -> ServerHandle {
+    start_shard_at("127.0.0.1:0")
+}
+
+fn start_shard_at(addr: &str) -> ServerHandle {
     Server::start(ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
+        addr: addr.to_string(),
         workers: 2,
         event_loops: 1,
         max_connections: 32,
@@ -444,4 +452,283 @@ fn exhausted_deadline_is_rejected_before_forwarding() {
     for shard in shards {
         shard.shutdown();
     }
+}
+
+fn router_stats(control: &mut TcpStream) -> Json {
+    exchange_json(control, r#"{"type":"stats"}"#)
+}
+
+/// A counter from router stats: top level, or in the `resilience` block.
+fn counter(stats: &Json, key: &str) -> usize {
+    stats
+        .get(key)
+        .or_else(|| stats.get("resilience").and_then(|r| r.get(key)))
+        .and_then(Json::as_usize)
+        .unwrap_or_else(|| panic!("router stats carry {key}: {stats:?}"))
+}
+
+/// Shard `idx`'s `healthy` flag in router stats.
+fn shard_healthy(stats: &Json, idx: usize) -> bool {
+    stats
+        .get("shards")
+        .and_then(Json::as_array)
+        .and_then(|shards| shards.get(idx))
+        .and_then(|s| s.get("healthy"))
+        .and_then(Json::as_bool)
+        .unwrap_or_else(|| panic!("router stats carry shards[{idx}].healthy: {stats:?}"))
+}
+
+/// Polls router stats until shard `idx` is flagged healthy.
+fn wait_healthy(control: &mut TcpStream, idx: usize) {
+    let until = Instant::now() + Duration::from_secs(10);
+    while !shard_healthy(&router_stats(control), idx) {
+        assert!(Instant::now() < until, "shard {idx} never readmitted");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// `count` distinct `ghz:N` compile requests whose keys the ring gives to
+/// shard `owner` of `shard_count`. Ring positions depend only on the
+/// shard index, so a throwaway router over one real shard, listed
+/// `shard_count` times, finds them by reading `shards[i].forwarded`.
+fn compiles_owned_by(owner: usize, shard_count: usize, count: usize) -> Vec<String> {
+    let shard = start_shard();
+    let router = Router::start(router_config(vec![
+        shard.local_addr().to_string();
+        shard_count
+    ]))
+    .expect("router starts");
+    let mut control = connect(router.local_addr());
+    let mut owned = Vec::new();
+    for n in 4..64 {
+        let request = format!(r#"{{"type":"compile","workload":"ghz:{n}"}}"#);
+        let before = forwarded_counts(&mut control)[owner];
+        exchange_json(&mut control, &request);
+        if forwarded_counts(&mut control)[owner] > before {
+            owned.push(request);
+            if owned.len() == count {
+                break;
+            }
+        }
+    }
+    assert_eq!(owned.len(), count, "too few ghz:N keys land on {owner}");
+    drop(control);
+    router.shutdown();
+    shard.shutdown();
+    owned
+}
+
+/// What a scripted stand-in shard does with one compile frame: wait
+/// `delay`, then relay the frame to its real shard and pass the response
+/// back, or hang up without answering.
+#[derive(Clone, Copy)]
+struct Step {
+    delay: Duration,
+    relay: bool,
+}
+
+const RELAY_AT_ONCE: Step = Step {
+    delay: Duration::ZERO,
+    relay: true,
+};
+
+/// A stand-in shard in front of the real shard at `upstream`. It answers
+/// health pings itself, and takes `first` for a compile frame whose
+/// bytes it has not seen before and `repeat` for one it has. Each
+/// connection gets its own thread, so a stalled compile never delays a
+/// probe or another connection.
+fn start_scripted_shard(upstream: SocketAddr, first: Step, repeat: Step) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("scripted shard binds");
+    let addr = listener.local_addr().unwrap();
+    let seen = Arc::new(Mutex::new(HashSet::<Vec<u8>>::new()));
+    std::thread::spawn(move || {
+        for client in listener.incoming() {
+            let Ok(mut client) = client else {
+                return;
+            };
+            let seen = Arc::clone(&seen);
+            std::thread::spawn(move || {
+                let mut upstream_conn: Option<TcpStream> = None;
+                while let Ok(Some(request)) = read_frame(&mut client) {
+                    if request.windows(6).any(|w| w == b"\"ping\"") {
+                        if write_frame(&mut client, br#"{"type":"pong"}"#).is_err() {
+                            return;
+                        }
+                        continue;
+                    }
+                    let step = if seen.lock().unwrap().insert(request.clone()) {
+                        first
+                    } else {
+                        repeat
+                    };
+                    std::thread::sleep(step.delay);
+                    if !step.relay {
+                        return;
+                    }
+                    if upstream_conn.is_none() {
+                        upstream_conn = TcpStream::connect(upstream).ok();
+                    }
+                    let Some(shard) = upstream_conn.as_mut() else {
+                        return;
+                    };
+                    let Ok(Some(response)) =
+                        write_frame(shard, &request).and_then(|()| read_frame(shard))
+                    else {
+                        return;
+                    };
+                    if write_frame(&mut client, &response).is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    addr
+}
+
+/// Router config for the hedging tests: a hedge fires 50 ms into a
+/// hit-class forward, and the prober runs only at startup, so a shard
+/// the router charges stays down for the rest of the test.
+fn hedging_config(shards: Vec<String>) -> RouterConfig {
+    RouterConfig {
+        hedge_after: Some(Duration::from_millis(50)),
+        health_interval: Duration::from_secs(60),
+        ..router_config(shards)
+    }
+}
+
+#[test]
+fn hedge_to_the_backup_wins_while_the_owner_stalls() {
+    let request = compiles_owned_by(0, 2, 1).remove(0);
+    let real_owner = start_shard();
+    let backup = start_shard();
+    // The owner answers a first-seen compile at once and stalls 3 s on
+    // a repeat.
+    let stall = Duration::from_secs(3);
+    let owner = start_scripted_shard(
+        real_owner.local_addr(),
+        RELAY_AT_ONCE,
+        Step {
+            delay: stall,
+            relay: true,
+        },
+    );
+    let router = Router::start(hedging_config(vec![
+        owner.to_string(),
+        backup.local_addr().to_string(),
+    ]))
+    .expect("router starts");
+    let mut control = connect(router.local_addr());
+
+    // Served once, the key is hit class: its next forward arms a hedge.
+    let reply = exchange_json(&mut control, &request);
+    assert_eq!(response_type(&reply), "result", "reply: {reply:?}");
+    assert_eq!(forwarded_counts(&mut control), [1, 0]);
+
+    let started = Instant::now();
+    let reply = exchange_json(&mut control, &request);
+    assert_eq!(response_type(&reply), "result", "reply: {reply:?}");
+    assert!(
+        started.elapsed() < stall - Duration::from_secs(1),
+        "the result waited for the stalled owner: {:?}",
+        started.elapsed()
+    );
+    let stats = router_stats(&mut control);
+    assert_eq!(counter(&stats, "hedges_fired"), 1, "stats: {stats:?}");
+    assert_eq!(counter(&stats, "hedges_won"), 1, "stats: {stats:?}");
+    assert_eq!(forwarded_counts(&mut control), [1, 1]);
+    // Losing the race is no failure: the owner is not charged.
+    assert!(shard_healthy(&stats, 0), "stats: {stats:?}");
+    assert_eq!(counter(&stats, "reroutes"), 0);
+    assert_eq!(counter(&stats, "forward_errors"), 0);
+
+    drop(control);
+    router.shutdown();
+    real_owner.shutdown();
+    backup.shutdown();
+}
+
+#[test]
+fn owner_leg_breaking_after_the_hedge_fired_is_charged_to_the_owner() {
+    let request = compiles_owned_by(0, 2, 1).remove(0);
+    let real_owner = start_shard();
+    let real_backup = start_shard();
+    // The owner hangs up 200 ms into a repeated compile, well after the
+    // 50 ms hedge fired; the backup answers everything after 1.5 s, so
+    // the owner's leg (and its one retry) fails before the backup wins.
+    let owner = start_scripted_shard(
+        real_owner.local_addr(),
+        RELAY_AT_ONCE,
+        Step {
+            delay: Duration::from_millis(200),
+            relay: false,
+        },
+    );
+    let slow = Step {
+        delay: Duration::from_millis(1500),
+        relay: true,
+    };
+    let backup = start_scripted_shard(real_backup.local_addr(), slow, slow);
+    let router = Router::start(hedging_config(vec![owner.to_string(), backup.to_string()]))
+        .expect("router starts");
+    let mut control = connect(router.local_addr());
+
+    let reply = exchange_json(&mut control, &request);
+    assert_eq!(response_type(&reply), "result", "reply: {reply:?}");
+    let reply = exchange_json(&mut control, &request);
+    assert_eq!(response_type(&reply), "result", "reply: {reply:?}");
+
+    let stats = router_stats(&mut control);
+    assert_eq!(counter(&stats, "hedges_fired"), 1, "stats: {stats:?}");
+    assert_eq!(counter(&stats, "hedges_won"), 1, "stats: {stats:?}");
+    assert_eq!(forwarded_counts(&mut control), [1, 1]);
+    assert!(!shard_healthy(&stats, 0), "owner not charged: {stats:?}");
+    assert!(shard_healthy(&stats, 1), "stats: {stats:?}");
+
+    drop(control);
+    router.shutdown();
+    real_owner.shutdown();
+    real_backup.shutdown();
+}
+
+#[test]
+fn stale_pooled_connection_to_a_restarted_shard_is_retried_fresh() {
+    let requests = compiles_owned_by(0, 2, 2);
+    let (hit_class, first_seen) = (&requests[0], &requests[1]);
+    let mut owner = start_shard();
+    let backup = start_shard();
+    let router = start_router(&[&owner, &backup]);
+    let mut control = connect(router.local_addr());
+
+    let reply = exchange_json(&mut control, hit_class);
+    assert_eq!(response_type(&reply), "result", "reply: {reply:?}");
+
+    // Each request below finds the router's pooled connection to the
+    // owner stale: the owner restarted on the same port since the last
+    // exchange, and a second restart precedes the first-seen request.
+    for (round, request) in [hit_class, first_seen].into_iter().enumerate() {
+        let addr = owner.local_addr().to_string();
+        owner.shutdown();
+        owner = start_shard_at(&addr);
+        std::thread::sleep(Duration::from_millis(300));
+        wait_healthy(&mut control, 0);
+        let before = forwarded_counts(&mut control);
+        let reply = exchange_json(&mut control, request);
+        assert_eq!(response_type(&reply), "result", "round {round}: {reply:?}");
+        let after = forwarded_counts(&mut control);
+        assert_eq!(
+            after,
+            [before[0] + 1, before[1]],
+            "round {round}: not served by the restarted owner"
+        );
+        let stats = router_stats(&mut control);
+        assert_eq!(counter(&stats, "reroutes"), 0, "round {round}: {stats:?}");
+        assert_eq!(counter(&stats, "forward_errors"), 0, "round {round}");
+        assert!(shard_healthy(&stats, 0), "round {round}: owner charged");
+    }
+
+    drop(control);
+    router.shutdown();
+    owner.shutdown();
+    backup.shutdown();
 }
