@@ -36,11 +36,19 @@
 //! (±a few percent at 64 replicas) and minimize keyspace movement when
 //! a shard dies: only the dead shard's slice reroutes.
 //!
-//! **Failure handling.** Forwarding is retried down the walk order: a
-//! shard that refuses connections or breaks mid-exchange is marked
-//! unhealthy, its idle connections dropped, and the request replayed to
-//! the next candidate. Replaying is safe because shard requests are
-//! idempotent — compilation is a pure function plus a cache. A
+//! **Failure handling.** One routine, [`exchange`], carries every
+//! forward to a shard. A forward is one or two *legs* — the request in
+//! flight to one shard — and every leg follows one rule: it holds its
+//! shard's admission slot for its whole life; it gets exactly one retry
+//! on a fresh connection (a pooled socket can be stale after a shard
+//! restart without the shard being down); and if it still fails, or is
+//! still waiting when [`RouterConfig::io_timeout`] — the bound on the
+//! whole exchange — runs out, it is charged to its shard: a breaker
+//! failure, the health flag set to down, and the shard's idle
+//! connections dropped. When no leg answers, the request is replayed to
+//! the next candidate in walk order. Replaying is safe because shard
+//! requests are idempotent — compilation is a pure function plus a
+//! cache. A
 //! background probe thread pings every shard around each
 //! [`RouterConfig::health_interval`] (with jitter, and exponential
 //! backoff while a shard stays down, so a fleet of routers never
@@ -61,12 +69,16 @@
 //! **Hedged retries.** A request whose key has been served before is
 //! *cache-hit class*: the owning shard will answer from its LRU in
 //! microseconds unless something is wrong with it. For those requests
-//! the router arms a hedge: if the owner has not answered within a
-//! p99-derived delay, the same request is fired at the next healthy
-//! shard and the first response wins (the loser's connection is dropped
-//! — a response may not be reused out of order). Hedging is restricted
-//! to hit-class requests because duplicating a *cold* compile would
-//! double real work for latency that is dominated by the compile itself.
+//! the exchange may add a second leg: if the owner has not answered
+//! within a p99-derived delay, the same request goes to the next healthy
+//! shard (when its admission window has room) and the first complete
+//! response wins, the owner's when both are readable. Only the winner's
+//! socket returns to the idle list — a loser still owes a response on
+//! its connection. A leg that merely loses the race is not charged; a
+//! backup leg that fails is, like a failed owner leg. Hedging is
+//! restricted to hit-class requests because duplicating a *cold* compile
+//! would double real work for latency that is dominated by the compile
+//! itself.
 //!
 //! **Admission control.** Each shard has a bounded in-flight window at
 //! the router ([`RouterConfig::max_in_flight`]): a shard that stops
@@ -266,10 +278,14 @@ fn canonical_route_key(request: &Request) -> Option<u64> {
     )
 }
 
-/// The routing key: a stable hash of the fields that determine which
-/// shard's cache a request belongs to. Mirrors the shard-side cache key
-/// inputs (source, device, mapper config) without resolving the circuit,
-/// so the router never parses QASM or generates workloads.
+/// The text routing key: a stable hash of the fields that determine
+/// which shard's cache a request belongs to — the shard-side cache key
+/// inputs (source, device, mapper config), hashed as text without
+/// resolving the circuit. It routes suites and compiles that do not
+/// resolve. For every other compile it is only the memo key of
+/// [`semantic_route_key`], whose miss path does parse the QASM (or
+/// generate the workload) and canonicalize it, once per distinct request
+/// text.
 fn route_key(request: &Request) -> u64 {
     let mut h = Fnv64::new();
     match request {
@@ -783,16 +799,6 @@ fn json_bytes(value: Json) -> Vec<u8> {
     value.to_compact_string().into_bytes()
 }
 
-/// What one (possibly hedged) forward attempt produced.
-struct AttemptOutcome {
-    response: Vec<u8>,
-    /// Which shard's response this is.
-    winner: usize,
-    /// True when the primary leg hard-failed during a hedge (so the
-    /// caller charges its breaker) even though the backup delivered.
-    primary_failed: bool,
-}
-
 /// Forwards a request payload to the shard owning `ctx.key`, replaying
 /// down the ring-walk order on failure. Applies deadline checks,
 /// per-shard admission windows and circuit breakers, and hedges
@@ -837,7 +843,7 @@ fn forward(shared: &RouterShared, payload: &[u8], ctx: &ForwardCtx) -> Vec<u8> {
         let shard = &shared.shards[idx];
         // Admission before the breaker: a half-open probe admission must
         // never be stranded by a full in-flight window.
-        let Some(_slot) = try_acquire_slot(&shard.in_flight, shared.config.max_in_flight.max(1))
+        let Some(slot) = try_acquire_slot(&shard.in_flight, shared.config.max_in_flight.max(1))
         else {
             continue;
         };
@@ -873,51 +879,34 @@ fn forward(shared: &RouterShared, payload: &[u8], ctx: &ForwardCtx) -> Vec<u8> {
 
         // Hedge only the first, healthy, closed-breaker attempt, and
         // only when a distinct healthy backup exists to hedge *to*.
-        let backup = match (position, fallback, admit, hedge_after) {
-            (0, false, BreakerAdmit::Yes, Some(_)) => candidates
+        let hedge = match (position, fallback, admit, hedge_after) {
+            (0, false, BreakerAdmit::Yes, Some(delay)) => candidates
                 .get(1)
                 .copied()
-                .filter(|&b| shared.shards[b].healthy.load(Ordering::SeqCst)),
+                .filter(|&b| shared.shards[b].healthy.load(Ordering::SeqCst))
+                .map(|backup| (backup, delay)),
             _ => None,
         };
 
         attempted = true;
-        let outcome = match (backup, hedge_after) {
-            (Some(backup), Some(delay)) => forward_hedged(shared, idx, backup, body, delay),
-            _ => forward_with_retry(shared, idx, body).map(|response| AttemptOutcome {
-                response,
-                winner: idx,
-                primary_failed: false,
-            }),
+        // A failed exchange has already charged its legs' shards.
+        let Some((winner, response)) = exchange(shared, idx, slot, hedge, body) else {
+            continue;
         };
-        match outcome {
-            Ok(outcome) => {
-                let winner = &shared.shards[outcome.winner];
-                winner.forwarded.fetch_add(1, Ordering::SeqCst);
-                winner.breaker.on_success();
-                if outcome.primary_failed {
-                    shard.breaker.on_failure(&shared.config, Instant::now());
-                    shard.healthy.store(false, Ordering::SeqCst);
-                }
-                if position > 0 {
-                    shared.reroutes.fetch_add(1, Ordering::SeqCst);
-                }
-                if ctx.hedgeable {
-                    if hit_class {
-                        let micros =
-                            u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                        lock_recovering(&shared.hit_latency).record(micros);
-                    }
-                    lock_recovering(&shared.seen_keys).insert(ctx.key, ());
-                }
-                return outcome.response;
-            }
-            Err(_) => {
-                shard.breaker.on_failure(&shared.config, Instant::now());
-                shard.healthy.store(false, Ordering::SeqCst);
-                drop_idle(shared, idx);
-            }
+        let served = &shared.shards[winner];
+        served.forwarded.fetch_add(1, Ordering::SeqCst);
+        served.breaker.on_success();
+        if position > 0 {
+            shared.reroutes.fetch_add(1, Ordering::SeqCst);
         }
+        if ctx.hedgeable {
+            if hit_class {
+                let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+                lock_recovering(&shared.hit_latency).record(micros);
+            }
+            lock_recovering(&shared.seen_keys).insert(ctx.key, ());
+        }
+        return response;
     }
     if !attempted {
         // Every candidate was skipped without a wire attempt: the
@@ -934,45 +923,143 @@ fn forward(shared: &RouterShared, payload: &[u8], ctx: &ForwardCtx) -> Vec<u8> {
     json_bytes(error_response("no shard available for request"))
 }
 
-/// One logical forward to shard `idx` over an idle pooled connection,
-/// retrying once on a fresh connection: a pooled socket can be stale
-/// (the shard restarted since the last request) without the shard being
-/// down. A failed exchange drops the shard's idle connections — they
-/// are likely just as stale.
-fn forward_with_retry(shared: &RouterShared, idx: usize, payload: &[u8]) -> io::Result<Vec<u8>> {
-    let mut last_err = None;
-    for fresh in [false, true] {
-        match forward_once(shared, idx, payload, fresh) {
-            Ok(response) => return Ok(response),
-            Err(e) => {
-                drop_idle(shared, idx);
-                last_err = Some(e);
+/// One upstream exchange: the request goes to shard `primary` at once
+/// and, when `hedge` names a backup and a delay, to the backup too if
+/// the delay passes unanswered. The first complete response wins, the
+/// primary's if both are readable. Only the winner's socket is checked
+/// back in: a loser still owes a response on its connection. A leg that
+/// fails after its retry, or is still open when `io_timeout` — the
+/// bound on the whole exchange — runs out, is charged to its shard.
+/// Returns the winning shard and its response, or `None` if no leg
+/// answered.
+fn exchange<'a>(
+    shared: &'a RouterShared,
+    primary: usize,
+    slot: InFlightSlot<'a>,
+    mut hedge: Option<(usize, Duration)>,
+    payload: &[u8],
+) -> Option<(usize, Vec<u8>)> {
+    let started = Instant::now();
+    let deadline = started + shared.config.io_timeout;
+    let mut legs: Vec<Leg> = Leg::start(shared, primary, slot, payload)
+        .into_iter()
+        .collect();
+    loop {
+        // A primary that failed before the delay fires no hedge: the
+        // caller replays down the walk order instead.
+        if legs.is_empty() {
+            return None;
+        }
+        let now = Instant::now();
+        if now >= deadline {
+            legs.iter().for_each(|leg| charge(shared, leg.shard));
+            return None;
+        }
+        if let Some((backup, _)) = hedge.filter(|&(_, delay)| now >= started + delay) {
+            hedge = None;
+            // A hedge is opportunistic: a full window at the backup
+            // means no hedge, and no charge.
+            let cap = shared.config.max_in_flight.max(1);
+            if let Some(slot) = try_acquire_slot(&shared.shards[backup].in_flight, cap) {
+                if let Some(leg) = Leg::start(shared, backup, slot, payload) {
+                    shared.hedges_fired.fetch_add(1, Ordering::SeqCst);
+                    legs.push(leg);
+                }
+            }
+        }
+
+        let wake = hedge.map_or(deadline, |(_, delay)| deadline.min(started + delay));
+        let mut fds: Vec<PollFd> = legs
+            .iter()
+            .map(|leg| PollFd::new(leg.stream.as_raw_fd(), POLLIN))
+            .collect();
+        let _ = poll_fds(&mut fds, Some(wake.saturating_duration_since(now)));
+        let Some(i) = fds.iter().position(PollFd::readable) else {
+            continue;
+        };
+        match read_frame(&mut legs[i].stream) {
+            Ok(Some(response)) => {
+                let winner = legs.swap_remove(i);
+                if winner.shard != primary {
+                    shared.hedges_won.fetch_add(1, Ordering::SeqCst);
+                }
+                // Exactly one request, one response: the socket is
+                // position-clean and may rejoin the idle list.
+                lock_recovering(&shared.shards[winner.shard].idle).push(winner.stream);
+                return Some((winner.shard, response));
+            }
+            _ => {
+                let leg = &mut legs[i];
+                match send(shared, leg.shard, payload, &mut leg.tries) {
+                    Some(stream) => leg.stream = stream,
+                    None => drop(legs.remove(i)),
+                }
             }
         }
     }
-    Err(last_err.unwrap_or_else(|| io::Error::other("forward failed")))
 }
 
-/// One forwarding attempt to shard `idx`: checks a connection out (a
-/// new one when `fresh`), and back in after a clean exchange.
-fn forward_once(
-    shared: &RouterShared,
-    idx: usize,
-    payload: &[u8],
-    fresh: bool,
-) -> io::Result<Vec<u8>> {
-    let mut stream = checkout(shared, idx, fresh)?;
-    write_frame(&mut stream, payload)?;
-    match read_frame(&mut stream)? {
-        Some(response) => {
-            checkin(shared, idx, stream);
-            Ok(response)
-        }
-        None => Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "shard closed before responding",
-        )),
+/// One leg of an [`exchange`]: the request in flight to one shard. The
+/// leg holds that shard's admission slot for its whole life.
+struct Leg<'a> {
+    shard: usize,
+    stream: TcpStream,
+    /// Attempts so far; see [`send`].
+    tries: u8,
+    _slot: InFlightSlot<'a>,
+}
+
+impl<'a> Leg<'a> {
+    fn start(
+        shared: &RouterShared,
+        shard: usize,
+        slot: InFlightSlot<'a>,
+        payload: &[u8],
+    ) -> Option<Leg<'a>> {
+        let mut tries = 0;
+        let stream = send(shared, shard, payload, &mut tries)?;
+        Some(Leg {
+            shard,
+            stream,
+            tries,
+            _slot: slot,
+        })
     }
+}
+
+/// The per-leg retry rule. Writes the request to shard `idx`, the first
+/// attempt on a pooled connection if one is idle. After a failed
+/// attempt — a failed write here, or a failed read in [`exchange`] —
+/// the shard's idle list is cleared, as stale as the socket that failed,
+/// and the one retry opens a fresh connection: a pooled socket can be
+/// stale (the shard restarted since its last request) without the shard
+/// being down. Once both attempts are spent the shard is charged and
+/// `None` returned.
+fn send(shared: &RouterShared, idx: usize, payload: &[u8], tries: &mut u8) -> Option<TcpStream> {
+    while *tries < 2 {
+        if *tries > 0 {
+            drop_idle(shared, idx);
+        }
+        *tries += 1;
+        let sent = checkout(shared, idx, *tries > 1).and_then(|mut stream| {
+            write_frame(&mut stream, payload)?;
+            Ok(stream)
+        });
+        if let Ok(stream) = sent {
+            return Some(stream);
+        }
+    }
+    charge(shared, idx);
+    None
+}
+
+/// Charges a failed leg to its shard: a breaker failure, the health
+/// flag down, and its idle connections dropped.
+fn charge(shared: &RouterShared, idx: usize) {
+    let shard = &shared.shards[idx];
+    shard.breaker.on_failure(&shared.config, Instant::now());
+    shard.healthy.store(false, Ordering::SeqCst);
+    drop_idle(shared, idx);
 }
 
 /// An idle connection to shard `idx`, or — when none is idle or `fresh`
@@ -987,13 +1074,7 @@ fn checkout(shared: &RouterShared, idx: usize, fresh: bool) -> io::Result<TcpStr
     connect_shard(shared, idx)
 }
 
-/// Returns a connection whose last exchange completed cleanly (exactly
-/// one request, one response) to shard `idx`'s idle list.
-fn checkin(shared: &RouterShared, idx: usize, stream: TcpStream) {
-    lock_recovering(&shared.shards[idx].idle).push(stream);
-}
-
-/// Drops shard `idx`'s idle connections after a failed exchange: they
+/// Drops shard `idx`'s idle connections after a failed attempt: they
 /// are likely as stale as the one that failed.
 fn drop_idle(shared: &RouterShared, idx: usize) {
     lock_recovering(&shared.shards[idx].idle).clear();
@@ -1006,157 +1087,6 @@ fn connect_shard(shared: &RouterShared, idx: usize) -> io::Result<TcpStream> {
     stream.set_read_timeout(Some(shared.config.io_timeout))?;
     stream.set_write_timeout(Some(Duration::from_secs(10)))?;
     Ok(stream)
-}
-
-/// Checks out a connection to shard `idx` and writes one request frame
-/// on it, reconnecting once if the pooled socket rejects the write. The
-/// hedged reader decides whether the stream is checked back in.
-fn send_request(shared: &RouterShared, idx: usize, payload: &[u8]) -> io::Result<TcpStream> {
-    for fresh in [false, true] {
-        let mut stream = checkout(shared, idx, fresh)?;
-        if write_frame(&mut stream, payload).is_ok() {
-            return Ok(stream);
-        }
-        drop_idle(shared, idx);
-    }
-    Err(io::Error::new(
-        io::ErrorKind::BrokenPipe,
-        "could not write request to shard",
-    ))
-}
-
-/// A hedged forward for a cache-hit-class request: the primary shard
-/// gets `delay` to answer on its own; past that, the same payload fires
-/// at `backup` and the first *complete* response wins. The loser still
-/// owes a response on its connection, so only the winner's socket is
-/// checked back in — the other is dropped.
-///
-/// Errors mean the primary leg failed (after a fresh-connection retry)
-/// and no backup response arrived either; the caller replays down the
-/// walk order as for any failed attempt.
-fn forward_hedged(
-    shared: &RouterShared,
-    primary: usize,
-    backup: usize,
-    payload: &[u8],
-    delay: Duration,
-) -> io::Result<AttemptOutcome> {
-    let started = Instant::now();
-    let overall_deadline = started + shared.config.io_timeout;
-    let hedge_at = started + delay;
-
-    let mut primary_stream = Some(send_request(shared, primary, payload)?);
-    // Mirror the unhedged path's stale-pool tolerance: one reconnect.
-    let mut primary_retries_left = 1u32;
-    let mut primary_failed = false;
-    let mut backup_stream: Option<TcpStream> = None;
-    let mut _backup_slot = None;
-    let mut backup_fired = false;
-    let mut backup_failed = false;
-
-    loop {
-        let now = Instant::now();
-        if now >= overall_deadline {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "hedged forward timed out",
-            ));
-        }
-        if !backup_fired && !primary_failed && now >= hedge_at {
-            // The primary has had its p99-derived chance: fire the hedge
-            // (unless the backup's admission window is full — a hedge is
-            // opportunistic, never worth displacing first-try traffic).
-            backup_fired = true;
-            match try_acquire_slot(
-                &shared.shards[backup].in_flight,
-                shared.config.max_in_flight.max(1),
-            ) {
-                None => backup_failed = true,
-                Some(slot) => match send_request(shared, backup, payload) {
-                    Ok(stream) => {
-                        _backup_slot = Some(slot);
-                        backup_stream = Some(stream);
-                        shared.hedges_fired.fetch_add(1, Ordering::SeqCst);
-                    }
-                    Err(_) => backup_failed = true,
-                },
-            }
-        }
-        if primary_failed && (backup_failed || backup_stream.is_none()) {
-            return Err(io::Error::other("both hedge legs failed"));
-        }
-
-        let mut fds = Vec::with_capacity(2);
-        let mut legs = Vec::with_capacity(2);
-        if let Some(stream) = primary_stream.as_ref() {
-            fds.push(PollFd::new(stream.as_raw_fd(), POLLIN));
-            legs.push(primary);
-        }
-        if let Some(stream) = backup_stream.as_ref() {
-            fds.push(PollFd::new(stream.as_raw_fd(), POLLIN));
-            legs.push(backup);
-        }
-        let wait = if backup_fired || primary_failed {
-            overall_deadline
-                .saturating_duration_since(now)
-                .min(POLL_INTERVAL)
-        } else {
-            hedge_at.saturating_duration_since(now).min(POLL_INTERVAL)
-        };
-        let _ = poll_fds(&mut fds, Some(wait));
-
-        // Primary first: a free response always beats a hedged one.
-        for (slot_idx, &leg) in legs.iter().enumerate() {
-            if !fds[slot_idx].readable() {
-                continue;
-            }
-            if leg == primary {
-                let mut stream = primary_stream.take().expect("primary leg polled");
-                match read_frame(&mut stream) {
-                    Ok(Some(response)) => {
-                        // Exactly one request, one response: the socket
-                        // is position-clean and may rejoin the pool.
-                        checkin(shared, primary, stream);
-                        return Ok(AttemptOutcome {
-                            response,
-                            winner: primary,
-                            primary_failed: false,
-                        });
-                    }
-                    _ => {
-                        drop_idle(shared, primary);
-                        if primary_retries_left > 0 {
-                            primary_retries_left -= 1;
-                            match send_request(shared, primary, payload) {
-                                Ok(fresh) => primary_stream = Some(fresh),
-                                Err(_) => primary_failed = true,
-                            }
-                        } else {
-                            primary_failed = true;
-                        }
-                    }
-                }
-                break;
-            }
-            let mut stream = backup_stream.take().expect("backup leg polled");
-            match read_frame(&mut stream) {
-                Ok(Some(response)) => {
-                    shared.hedges_won.fetch_add(1, Ordering::SeqCst);
-                    checkin(shared, backup, stream);
-                    return Ok(AttemptOutcome {
-                        response,
-                        winner: backup,
-                        primary_failed,
-                    });
-                }
-                _ => {
-                    drop_idle(shared, backup);
-                    backup_failed = true;
-                }
-            }
-            break;
-        }
-    }
 }
 
 fn router_stats_json(shared: &RouterShared, core: &Core) -> Json {

@@ -732,3 +732,41 @@ fn stale_pooled_connection_to_a_restarted_shard_is_retried_fresh() {
     owner.shutdown();
     backup.shutdown();
 }
+
+#[test]
+fn backup_leg_that_tears_its_response_is_charged_to_the_backup() {
+    let request = compiles_owned_by(0, 2, 1).remove(0);
+    let real_owner = start_shard();
+    // The owner answers a repeated compile after 500 ms, so the 50 ms
+    // hedge fires; the backup tears every compile, its retry included.
+    let owner = start_scripted_shard(
+        real_owner.local_addr(),
+        RELAY_AT_ONCE,
+        Step {
+            delay: Duration::from_millis(500),
+            relay: true,
+        },
+    );
+    let (backup, _backup_thread) = start_torn_frame_shard();
+    let router = Router::start(hedging_config(vec![owner.to_string(), backup.to_string()]))
+        .expect("router starts");
+    let mut control = connect(router.local_addr());
+
+    for _ in 0..2 {
+        let reply = exchange_json(&mut control, &request);
+        assert_eq!(response_type(&reply), "result", "reply: {reply:?}");
+    }
+
+    // The owner still served; the backup's failed leg is charged to the
+    // backup just as a failed owner leg is charged to the owner.
+    let stats = router_stats(&mut control);
+    assert_eq!(counter(&stats, "hedges_fired"), 1, "stats: {stats:?}");
+    assert_eq!(counter(&stats, "hedges_won"), 0, "stats: {stats:?}");
+    assert_eq!(forwarded_counts(&mut control), [2, 0]);
+    assert!(shard_healthy(&stats, 0), "stats: {stats:?}");
+    assert!(!shard_healthy(&stats, 1), "backup not charged: {stats:?}");
+
+    drop(control);
+    router.shutdown();
+    real_owner.shutdown();
+}
