@@ -322,16 +322,23 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// How deeply arrays and objects may nest (serde_json's default): the
+/// reader recurses once per level, so without a bound a few kilobytes
+/// of `[` overflow the stack of whatever thread parses them.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document; trailing whitespace is allowed, trailing
 /// content is not.
 ///
 /// # Errors
 ///
-/// [`JsonError::Parse`] with a byte offset on malformed input.
+/// [`JsonError::Parse`] with a byte offset on malformed input, including
+/// arrays and objects nested more than 128 levels deep.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -345,6 +352,8 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -389,11 +398,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error("arrays and objects nest more than 128 levels deep"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -862,5 +886,27 @@ mod tests {
             parse("\"\u{7f}\"").unwrap(),
             Json::String("\u{7f}".to_string())
         );
+    }
+    #[test]
+    fn nesting_past_128_levels_is_an_error_not_a_stack_overflow() {
+        let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let objects = |depth: usize| r#"{"a":"#.repeat(depth) + "1" + &"}".repeat(depth);
+        for text in [arrays(128), objects(128)] {
+            assert!(parse(&text).is_ok(), "128 levels must parse");
+        }
+        for text in [
+            arrays(129),
+            objects(129),
+            "[".repeat(100_000),
+            objects(100_000),
+        ] {
+            match parse(&text) {
+                Err(JsonError::Parse { offset, message }) => {
+                    assert!(message.contains("128 levels"), "{message}");
+                    assert!(offset <= 129 * 5, "offset {offset}");
+                }
+                other => panic!("expected a nesting error, got {other:?}"),
+            }
+        }
     }
 }
