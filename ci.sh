@@ -1,8 +1,10 @@
 #!/usr/bin/env sh
-# Local mirror of .github/workflows/ci.yml — run before pushing.
+# The CI pipeline: .github/workflows/ci.yml installs the toolchain and
+# runs this script, so run it before pushing. CI sets
+# QCS_BENCH_WALL_BUDGET=10 for the two bench gates (steps 13 and 14).
 #
 # The workspace is hermetic (no crates.io dependencies), so every step
-# works fully offline. Steps, in CI order:
+# works fully offline. Steps, in order:
 #
 #   1. cargo build --release            release build, locked deps
 #   2. cargo check stackbench           the repo benchmark is its own
