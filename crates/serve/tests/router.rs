@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use qcs_json::Json;
-use qcs_serve::protocol::{read_frame, write_frame};
+use qcs_serve::protocol::{read_frame, write_frame, Request};
 use qcs_serve::router::{Router, RouterConfig, RouterHandle};
 use qcs_serve::server::{Server, ServerConfig, ServerHandle};
 
@@ -550,7 +550,7 @@ fn start_scripted_shard(upstream: SocketAddr, first: Step, repeat: Step) -> Sock
             std::thread::spawn(move || {
                 let mut upstream_conn: Option<TcpStream> = None;
                 while let Ok(Some(request)) = read_frame(&mut client) {
-                    if request.windows(6).any(|w| w == b"\"ping\"") {
+                    if matches!(Request::parse(&request), Ok(Request::Ping)) {
                         if write_frame(&mut client, br#"{"type":"pong"}"#).is_err() {
                             return;
                         }
