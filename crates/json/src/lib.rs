@@ -887,6 +887,7 @@ mod tests {
             Json::String("\u{7f}".to_string())
         );
     }
+
     #[test]
     fn nesting_past_128_levels_is_an_error_not_a_stack_overflow() {
         let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);

@@ -548,7 +548,9 @@ fn start_scripted_shard(upstream: SocketAddr, first: Step, repeat: Step) -> Sock
             };
             let seen = Arc::clone(&seen);
             std::thread::spawn(move || {
-                let mut upstream_conn: Option<TcpStream> = None;
+                let Ok(mut shard) = TcpStream::connect(upstream) else {
+                    return;
+                };
                 while let Ok(Some(request)) = read_frame(&mut client) {
                     if matches!(Request::parse(&request), Ok(Request::Ping)) {
                         if write_frame(&mut client, br#"{"type":"pong"}"#).is_err() {
@@ -565,14 +567,8 @@ fn start_scripted_shard(upstream: SocketAddr, first: Step, repeat: Step) -> Sock
                     if !step.relay {
                         return;
                     }
-                    if upstream_conn.is_none() {
-                        upstream_conn = TcpStream::connect(upstream).ok();
-                    }
-                    let Some(shard) = upstream_conn.as_mut() else {
-                        return;
-                    };
                     let Ok(Some(response)) =
-                        write_frame(shard, &request).and_then(|()| read_frame(shard))
+                        write_frame(&mut shard, &request).and_then(|()| read_frame(&mut shard))
                     else {
                         return;
                     };
