@@ -6,7 +6,8 @@
 //! printing what each layer receives, produces, and — the grey arrows —
 //! which information crossed layer boundaries in each direction.
 
-use qcs_stack::codesign::{AlgorithmInfo, HardwareInfo};
+use qcs_core::profile::CircuitProfile;
+use qcs_stack::codesign::HardwareInfo;
 use qcs_stack::pipeline::FullStack;
 use qcs_topology::surface::surface17;
 
@@ -31,7 +32,7 @@ fn main() {
 
     // The two co-design information packets (the grey arrows).
     let hw = HardwareInfo::of(&device);
-    let algo = AlgorithmInfo::of(&circuit);
+    let profile = CircuitProfile::of(&circuit);
     println!("information flowing UP from the device layer:");
     println!(
         "  qubits = {}, avg distance = {:.2}, diameter = {}, 2q-fidelity spread = {:.4}",
@@ -39,19 +40,21 @@ fn main() {
     );
     println!("information flowing DOWN from the application layer:");
     println!(
-        "  {}: density = {:.2}, max degree = {}, avg shortest path = {:.2} (sparse: {})",
-        algo.profile.name,
-        algo.profile.metrics.density,
-        algo.profile.metrics.max_degree,
-        algo.profile.metrics.avg_shortest_path,
-        algo.is_sparse()
+        "  {}: density = {:.2}, max degree = {}, avg shortest path = {:.2}",
+        profile.name,
+        profile.metrics.density,
+        profile.metrics.max_degree,
+        profile.metrics.avg_shortest_path
     );
 
+    // The compiler layer runs the daemon's compile path: the default
+    // pipeline on its fallback rungs, verified.
     let stack = FullStack::new(device);
     let run = stack.run_circuit(&circuit).expect("stack runs");
+    let report = &run.outcome.report;
     println!(
-        "\nco-design decision at the compiler layer: {:?}",
-        run.mapper_choice
+        "\ncompiler pipeline: {}/{} (fallback rung {}, verified: {})",
+        report.placer, report.router, report.fallback_rung, report.verified
     );
     println!("\nper-layer artifact sizes for this program:");
     println!(

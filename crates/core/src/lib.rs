@@ -43,7 +43,8 @@
 //! * [`place_sabre`] — SABRE-style forward/backward placement refinement;
 //! * [`portfolio`] — the metric-driven strategy selector and
 //!   deadline-bounded racing engine that put the Section IV analysis
-//!   on the serving path.
+//!   on the serving path, and [`compile`], the one entry point the
+//!   daemon and the Fig. 1 stack both map through.
 //!
 //! # Examples
 //!
@@ -86,5 +87,5 @@ pub use error::UnsatisfiableReason;
 pub use ladder::{FallbackLadder, LadderAttempt, LadderError, Rung, RungError, Walker};
 pub use layout::Layout;
 pub use mapper::{MapError, MapOutcome, Mapper, StageTiming};
-pub use portfolio::{Portfolio, PortfolioMode, PortfolioReport, Selection, Selector};
+pub use portfolio::{compile, Portfolio, PortfolioMode, PortfolioReport, Selection, Selector};
 pub use verify::{verify_outcome, VerifyConfig, VerifyError, VerifyReport};

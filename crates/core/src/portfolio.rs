@@ -110,6 +110,38 @@ pub fn is_auto(config: &MapperConfig) -> bool {
     config.placer == AUTO || config.router == AUTO
 }
 
+/// True when a job with `config`, forced to race or not, compiles
+/// through the portfolio rather than a fixed pipeline: the test
+/// [`compile`] dispatches on.
+pub fn uses_portfolio(config: &MapperConfig, race: bool) -> bool {
+    race || is_auto(config)
+}
+
+/// The one compile path: every daemon job and every `qcs-stack`
+/// `FullStack` run maps through here. An `auto` config or a forced
+/// `race` runs the [`Portfolio`] under the *remaining* `deadline` and
+/// returns its accounting; any other config walks the backend's rungs
+/// for it ([`Backend::map`]) and ignores the deadline. Either way the
+/// outcome is verified.
+///
+/// # Errors
+///
+/// [`LadderError`] when every rung (or portfolio stage) failed, or the
+/// job is unsatisfiable on the target.
+pub fn compile(
+    circuit: &Circuit,
+    backend: &Arc<dyn Backend>,
+    config: &MapperConfig,
+    race: bool,
+    deadline: Option<Duration>,
+) -> Result<(MapOutcome, Option<PortfolioReport>), LadderError> {
+    if !uses_portfolio(config, race) {
+        return Ok((backend.map(circuit, config)?, None));
+    }
+    let (outcome, report) = Portfolio::default().run(circuit, backend, deadline, race)?;
+    Ok((outcome, Some(report)))
+}
+
 /// The pipeline a lane name stands for, or `None` for unknown names.
 /// Lane pipelines mirror the bench_baseline presets so calibration
 /// data and serving behaviour describe the same strategies.

@@ -6,11 +6,16 @@
 //! from `qcs_circuit::hash`. For fixed-coupler backends the id is the
 //! device name, so pre-backend cache keys are unchanged.
 //!
+//! Every job maps through [`qcs_core::compile`], the one compile path
+//! the Fig. 1 stack (`qcs_stack::FullStack`) also runs: a fixed
+//! pipeline walks the backend's rungs, an `auto` or raced job runs the
+//! portfolio, and either way the result is verified.
+//!
 //! The *canonical result* is deliberately a pure function of the job:
 //! the full `MapReport` with wall-clock timing normalized to zero, plus
 //! the routed native circuit as QASM. That purity is what the service's
 //! headline guarantee rests on: a cache hit, a recompile on another
-//! worker thread, and an in-process `Mapper::map` all produce
+//! worker thread, and an in-process `qcs_core::compile` all produce
 //! byte-identical payloads. The *measured* timing is returned alongside
 //! (never inside) the canonical bytes, and feeds the per-stage latency
 //! histograms.
@@ -24,7 +29,7 @@ use qcs_circuit::qasm;
 use qcs_core::backend::Backend;
 use qcs_core::config::MapperConfig;
 use qcs_core::mapper::StageTiming;
-use qcs_core::portfolio::{is_auto, Portfolio, PortfolioReport};
+use qcs_core::portfolio::{uses_portfolio, PortfolioReport};
 use qcs_json::{Json, ToJson};
 use qcs_topology::DeviceHealth;
 
@@ -105,7 +110,7 @@ impl Job {
     /// Portfolio jobs degrade inside their deadline instead of being
     /// rejected against it.
     pub fn portfolio(&self) -> bool {
-        self.race || is_auto(&self.config)
+        uses_portfolio(&self.config, self.race)
     }
 
     /// The job's content digest — the cache key.
@@ -299,8 +304,9 @@ pub fn run_job(job: &Job) -> Result<CompileOutput, JobError> {
 ///
 /// Fixed-pipeline jobs ignore the budget (the server rejects them
 /// against the predictor before compiling). Portfolio jobs hand it to
-/// [`Portfolio::map`], which degrades *inside* the budget — a tight
-/// deadline yields a verified cheapest-lane result, never an error.
+/// the portfolio through [`qcs_core::compile`], which degrades *inside*
+/// the budget — a tight deadline yields a verified cheapest-lane
+/// result, never an error.
 ///
 /// # Errors
 ///
@@ -310,22 +316,9 @@ pub fn run_job_with_deadline(
     deadline: Option<std::time::Duration>,
 ) -> Result<CompileOutput, JobError> {
     let digest = job.digest();
-    let (outcome, portfolio) = if job.portfolio() {
-        let engine = Portfolio::default();
-        let raced = if job.race {
-            engine.map_racing(&job.circuit, &job.backend, deadline)
-        } else {
-            engine.map(&job.circuit, &job.backend, deadline)
-        };
-        let (outcome, report) = raced.map_err(|e| JobError(format!("mapping failed: {e}")))?;
-        (outcome, Some(report))
-    } else {
-        let outcome = job
-            .backend
-            .map(&job.circuit, &job.config)
+    let (outcome, portfolio) =
+        qcs_core::compile(&job.circuit, &job.backend, &job.config, job.race, deadline)
             .map_err(|e| JobError(format!("mapping failed: {e}")))?;
-        (outcome, None)
-    };
     let timing = outcome.report.timing;
     let initial_layout = outcome.routed.initial.as_assignment().to_vec();
     let final_layout = outcome.routed.final_layout.as_assignment().to_vec();

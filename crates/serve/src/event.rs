@@ -56,9 +56,11 @@ use crate::protocol::{error_response, Request};
 use crate::transport::{lock_recovering, Core, WorkItem};
 use qcs_json::Json;
 
-/// Read-chunk size: large enough to drain a pipelined burst in one
-/// syscall, small enough to keep per-loop memory trivial.
-const READ_CHUNK: usize = 64 * 1024;
+/// Read-chunk size for every socket read that feeds a [`FrameDecoder`]
+/// (client connections here, upstream legs in the router): large enough
+/// to drain a pipelined burst or a typical response in one syscall,
+/// small enough to keep per-loop memory trivial.
+pub(crate) const READ_CHUNK: usize = 64 * 1024;
 
 /// Wakes one event loop from another thread by making its loopback
 /// socket readable.

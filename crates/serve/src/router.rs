@@ -101,7 +101,7 @@
 //! shards directly), and `shutdown` (stops the router; shards are
 //! independent processes with their own lifecycle).
 
-use std::io;
+use std::io::{self, Read};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -114,7 +114,9 @@ use qcs_json::Json;
 use qcs_rng::{RngCore, SplitMix64};
 use qcs_sys::{poll_fds, PollFd, POLLIN};
 
+use crate::event::READ_CHUNK;
 use crate::fifo::FifoMap;
+use crate::frame::FrameDecoder;
 use crate::histogram::LatencyHistogram;
 use crate::protocol::{
     deadline_response, error_response, read_frame, rewrite_deadline_ms, shed_response, write_frame,
@@ -926,12 +928,15 @@ fn forward(shared: &RouterShared, payload: &[u8], ctx: &ForwardCtx) -> Vec<u8> {
 /// One upstream exchange: the request goes to shard `primary` at once
 /// and, when `hedge` names a backup and a delay, to the backup too if
 /// the delay passes unanswered. The first complete response wins, the
-/// primary's if both are readable. Only the winner's socket is checked
-/// back in: a loser still owes a response on its connection. A leg that
-/// fails after its retry, or is still open when `io_timeout` — the
-/// bound on the whole exchange — runs out, is charged to its shard.
-/// Returns the winning shard and its response, or `None` if no leg
-/// answered.
+/// primary's if both are readable. Each leg reads its response in
+/// whatever pieces arrive, through its own [`FrameDecoder`], so the
+/// deadline and the hedge delay hold while a shard stalls or dribbles
+/// mid-frame. Only the winner's socket is checked back in, and only
+/// when nothing past its response was read: a loser still owes a
+/// response on its connection. A leg that fails after its retry, or is
+/// still open when `io_timeout` — the bound on the whole exchange —
+/// runs out, is charged to its shard. Returns the winning shard and its
+/// response, or `None` if no leg answered.
 fn exchange<'a>(
     shared: &'a RouterShared,
     primary: usize,
@@ -941,6 +946,7 @@ fn exchange<'a>(
 ) -> Option<(usize, Vec<u8>)> {
     let started = Instant::now();
     let deadline = started + shared.config.io_timeout;
+    let mut buf = [0u8; READ_CHUNK];
     let mut legs: Vec<Leg> = Leg::start(shared, primary, slot, payload)
         .into_iter()
         .collect();
@@ -977,25 +983,41 @@ fn exchange<'a>(
         let Some(i) = fds.iter().position(PollFd::readable) else {
             continue;
         };
-        match read_frame(&mut legs[i].stream) {
-            Ok(Some(response)) => {
-                let winner = legs.swap_remove(i);
-                if winner.shard != primary {
-                    shared.hedges_won.fetch_add(1, Ordering::SeqCst);
+        // One read of what the socket holds (it polled readable, so the
+        // read does not block) into the leg's decoder: a shard that
+        // stalls or dribbles mid-response cannot hold the worker past
+        // the exchange's deadline, nor keep a due hedge from firing.
+        let leg = &mut legs[i];
+        let mut frames = Vec::new();
+        let failed = match leg.stream.read(&mut buf) {
+            Ok(0) => true,
+            Ok(n) => leg.decoder.feed(&buf[..n], &mut frames).is_err(),
+            Err(e) => e.kind() != io::ErrorKind::Interrupted,
+        };
+        if failed {
+            match send(shared, leg.shard, payload, &mut leg.tries) {
+                Some(stream) => {
+                    leg.stream = stream;
+                    leg.decoder = FrameDecoder::new();
                 }
-                // Exactly one request, one response: the socket is
-                // position-clean and may rejoin the idle list.
-                lock_recovering(&shared.shards[winner.shard].idle).push(winner.stream);
-                return Some((winner.shard, response));
+                None => drop(legs.remove(i)),
             }
-            _ => {
-                let leg = &mut legs[i];
-                match send(shared, leg.shard, payload, &mut leg.tries) {
-                    Some(stream) => leg.stream = stream,
-                    None => drop(legs.remove(i)),
-                }
-            }
+            continue;
         }
+        if frames.is_empty() {
+            continue;
+        }
+        // One request, one response and no byte past it: only then is
+        // the socket position-clean and may rejoin the idle list.
+        let clean = frames.len() == 1 && !leg.decoder.mid_frame();
+        let winner = legs.swap_remove(i);
+        if winner.shard != primary {
+            shared.hedges_won.fetch_add(1, Ordering::SeqCst);
+        }
+        if clean {
+            lock_recovering(&shared.shards[winner.shard].idle).push(winner.stream);
+        }
+        return Some((winner.shard, frames.swap_remove(0)));
     }
 }
 
@@ -1004,6 +1026,8 @@ fn exchange<'a>(
 struct Leg<'a> {
     shard: usize,
     stream: TcpStream,
+    /// The response read so far.
+    decoder: FrameDecoder,
     /// Attempts so far; see [`send`].
     tries: u8,
     _slot: InFlightSlot<'a>,
@@ -1021,6 +1045,7 @@ impl<'a> Leg<'a> {
         Some(Leg {
             shard,
             stream,
+            decoder: FrameDecoder::new(),
             tries,
             _slot: slot,
         })

@@ -56,6 +56,7 @@ use qcs_circuit::canon::CanonConfig;
 use qcs_circuit::hash::circuit_digest;
 use qcs_circuit::qasm;
 use qcs_core::ladder::panic_message;
+use qcs_core::verify::VerifyConfig;
 use qcs_rng::SeedableRng;
 
 use crate::cache::{CanonicalHit, CanonicalInfo, ResultCache};
@@ -592,12 +593,6 @@ fn compile_via_cache(
     Ok(payload)
 }
 
-/// Devices small enough for the statevector equivalence re-check on a
-/// canonical hit (mirrors the cold-compile verifier's
-/// `equiv_max_qubits`). Wider devices rely on the structural guarantee
-/// alone: byte-identical canonical key, bijective relabeling.
-const SEMANTIC_VERIFY_MAX_QUBITS: usize = 12;
-
 /// Semantic-cache lookup after an exact-key miss. Canonicalizes the
 /// job (recording the stage costs), probes the canonical index, and on
 /// a hit replays the cached twin's result for this circuit. Returns the
@@ -724,13 +719,15 @@ fn replay_canonical(
         .and_then(Json::as_str)
         .ok_or_else(|| "payload carries no qasm".to_string())?;
 
-    // Statevector re-verification on small devices, exactly as the cold
-    // path's verifier would: the cached *mapped* circuit, under the
-    // composed layouts, must implement this request's circuit. Bucketed
-    // angles are deliberately not exactly equivalent, so that opt-in
-    // mode serves on the structural guarantee alone.
+    // Statevector re-verification on small devices, with the cold-path
+    // verifier's own limits: the cached *mapped* circuit, under the
+    // composed layouts, must implement this request's circuit. Wider
+    // devices rely on the structural guarantee alone (byte-identical
+    // canonical key, bijective relabeling), and bucketed angles are
+    // deliberately not exactly equivalent, so that opt-in mode does too.
+    let limits = VerifyConfig::default();
     let device_qubits = job.backend.qubit_count();
-    if !bucket_angles && device_qubits <= SEMANTIC_VERIFY_MAX_QUBITS {
+    if !bucket_angles && device_qubits <= limits.equiv_max_qubits {
         let native = qasm::parse(qasm_text).map_err(|e| format!("cached qasm rejected: {e}"))?;
         let seed = circuit_digest(&job.circuit) ^ 0x5345_4D43; // "SEMC"
         let verdict = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -741,7 +738,7 @@ fn replay_canonical(
                 device_qubits,
                 &initial,
                 &final_layout,
-                2,
+                limits.equiv_trials,
                 &mut rng,
             )
         }));

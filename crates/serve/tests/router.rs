@@ -518,19 +518,34 @@ fn compiles_owned_by(owner: usize, shard_count: usize, count: usize) -> Vec<Stri
     owned
 }
 
-/// What a scripted stand-in shard does with one compile frame: wait
-/// `delay`, then relay the frame to its real shard and pass the response
-/// back, or hang up without answering.
+/// What a scripted stand-in shard does with one compile frame.
 #[derive(Clone, Copy)]
-struct Step {
-    delay: Duration,
-    relay: bool,
+enum Step {
+    /// Wait this long, then relay the frame to the real shard and pass
+    /// the response back.
+    Relay(Duration),
+    /// Wait this long, then hang up without answering.
+    HangUp(Duration),
+    /// Relay at once, pass back the first half of the response frame,
+    /// then the rest one byte per this interval.
+    Dribble(Duration),
 }
 
-const RELAY_AT_ONCE: Step = Step {
-    delay: Duration::ZERO,
-    relay: true,
-};
+const RELAY_AT_ONCE: Step = Step::Relay(Duration::ZERO);
+
+/// Writes the first half of `frame` at once and the rest one byte per
+/// `gap`.
+fn dribble(stream: &mut TcpStream, frame: &[u8], gap: Duration) -> std::io::Result<()> {
+    use std::io::Write;
+    stream.set_nodelay(true)?;
+    let (head, tail) = frame.split_at(frame.len() / 2);
+    stream.write_all(head)?;
+    for byte in tail {
+        std::thread::sleep(gap);
+        stream.write_all(std::slice::from_ref(byte))?;
+    }
+    Ok(())
+}
 
 /// A stand-in shard in front of the real shard at `upstream`. It answers
 /// health pings itself, and takes `first` for a compile frame whose
@@ -563,16 +578,28 @@ fn start_scripted_shard(upstream: SocketAddr, first: Step, repeat: Step) -> Sock
                     } else {
                         repeat
                     };
-                    std::thread::sleep(step.delay);
-                    if !step.relay {
-                        return;
+                    match step {
+                        Step::Relay(delay) => std::thread::sleep(delay),
+                        Step::HangUp(delay) => {
+                            std::thread::sleep(delay);
+                            return;
+                        }
+                        Step::Dribble(_) => {}
                     }
                     let Ok(Some(response)) =
                         write_frame(&mut shard, &request).and_then(|()| read_frame(&mut shard))
                     else {
                         return;
                     };
-                    if write_frame(&mut client, &response).is_err() {
+                    let sent = match step {
+                        Step::Dribble(gap) => {
+                            let mut frame = Vec::new();
+                            write_frame(&mut frame, &response)
+                                .and_then(|()| dribble(&mut client, &frame, gap))
+                        }
+                        _ => write_frame(&mut client, &response),
+                    };
+                    if sent.is_err() {
                         return;
                     }
                 }
@@ -601,14 +628,7 @@ fn hedge_to_the_backup_wins_while_the_owner_stalls() {
     // The owner answers a first-seen compile at once and stalls 3 s on
     // a repeat.
     let stall = Duration::from_secs(3);
-    let owner = start_scripted_shard(
-        real_owner.local_addr(),
-        RELAY_AT_ONCE,
-        Step {
-            delay: stall,
-            relay: true,
-        },
-    );
+    let owner = start_scripted_shard(real_owner.local_addr(), RELAY_AT_ONCE, Step::Relay(stall));
     let router = Router::start(hedging_config(vec![
         owner.to_string(),
         backup.local_addr().to_string(),
@@ -655,15 +675,9 @@ fn owner_leg_breaking_after_the_hedge_fired_is_charged_to_the_owner() {
     let owner = start_scripted_shard(
         real_owner.local_addr(),
         RELAY_AT_ONCE,
-        Step {
-            delay: Duration::from_millis(200),
-            relay: false,
-        },
+        Step::HangUp(Duration::from_millis(200)),
     );
-    let slow = Step {
-        delay: Duration::from_millis(1500),
-        relay: true,
-    };
+    let slow = Step::Relay(Duration::from_millis(1500));
     let backup = start_scripted_shard(real_backup.local_addr(), slow, slow);
     let router = Router::start(hedging_config(vec![owner.to_string(), backup.to_string()]))
         .expect("router starts");
@@ -738,10 +752,7 @@ fn backup_leg_that_tears_its_response_is_charged_to_the_backup() {
     let owner = start_scripted_shard(
         real_owner.local_addr(),
         RELAY_AT_ONCE,
-        Step {
-            delay: Duration::from_millis(500),
-            relay: true,
-        },
+        Step::Relay(Duration::from_millis(500)),
     );
     let (backup, _backup_thread) = start_torn_frame_shard();
     let router = Router::start(hedging_config(vec![owner.to_string(), backup.to_string()]))
@@ -765,4 +776,88 @@ fn backup_leg_that_tears_its_response_is_charged_to_the_backup() {
     drop(control);
     router.shutdown();
     real_owner.shutdown();
+}
+
+/// One byte per 20 ms: a dribbled ghz result frame takes about 8 s to
+/// arrive, yet every byte lands well inside the tests' `io_timeout`.
+const DRIBBLE: Step = Step::Dribble(Duration::from_millis(20));
+
+#[test]
+fn owner_dribbling_its_response_is_cut_off_at_io_timeout_and_rerouted() {
+    let request = compiles_owned_by(0, 2, 1).remove(0);
+    let real_owner = start_shard();
+    let backup = start_shard();
+    let owner = start_scripted_shard(real_owner.local_addr(), DRIBBLE, DRIBBLE);
+    let io_timeout = Duration::from_secs(1);
+    let router = Router::start(RouterConfig {
+        io_timeout,
+        ..hedging_config(vec![owner.to_string(), backup.local_addr().to_string()])
+    })
+    .expect("router starts");
+    let mut control = connect(router.local_addr());
+
+    // A first-seen key: no hedge. The exchange ends at `io_timeout` with
+    // the owner's response still arriving, and the backup serves.
+    let started = Instant::now();
+    let reply = exchange_json(&mut control, &request);
+    let elapsed = started.elapsed();
+    assert_eq!(response_type(&reply), "result", "reply: {reply:?}");
+    assert!(
+        elapsed >= io_timeout && elapsed < io_timeout * 3,
+        "the exchange did not end at io_timeout: {elapsed:?}"
+    );
+    let stats = router_stats(&mut control);
+    assert_eq!(counter(&stats, "reroutes"), 1, "stats: {stats:?}");
+    assert_eq!(counter(&stats, "hedges_fired"), 0, "stats: {stats:?}");
+    assert_eq!(counter(&stats, "forward_errors"), 0, "stats: {stats:?}");
+    assert_eq!(forwarded_counts(&mut control), [0, 1]);
+    assert!(!shard_healthy(&stats, 0), "owner not charged: {stats:?}");
+
+    drop(control);
+    router.shutdown();
+    real_owner.shutdown();
+    backup.shutdown();
+}
+
+#[test]
+fn hedge_wins_while_the_owner_dribbles_its_response() {
+    let request = compiles_owned_by(0, 2, 1).remove(0);
+    let real_owner = start_shard();
+    let backup = start_shard();
+    // The owner answers a first-seen compile at once and dribbles a
+    // repeat.
+    let owner = start_scripted_shard(real_owner.local_addr(), RELAY_AT_ONCE, DRIBBLE);
+    let io_timeout = Duration::from_secs(2);
+    let router = Router::start(RouterConfig {
+        io_timeout,
+        ..hedging_config(vec![owner.to_string(), backup.local_addr().to_string()])
+    })
+    .expect("router starts");
+    let mut control = connect(router.local_addr());
+
+    let reply = exchange_json(&mut control, &request);
+    assert_eq!(response_type(&reply), "result", "reply: {reply:?}");
+
+    // Hit class now: the hedge fires at 50 ms, while the owner's leg
+    // holds half a frame, and the backup's complete response wins.
+    let started = Instant::now();
+    let reply = exchange_json(&mut control, &request);
+    let elapsed = started.elapsed();
+    assert_eq!(response_type(&reply), "result", "reply: {reply:?}");
+    assert!(
+        elapsed < io_timeout / 2,
+        "the result waited for the dribbling owner: {elapsed:?}"
+    );
+    let stats = router_stats(&mut control);
+    assert_eq!(counter(&stats, "hedges_fired"), 1, "stats: {stats:?}");
+    assert_eq!(counter(&stats, "hedges_won"), 1, "stats: {stats:?}");
+    assert_eq!(counter(&stats, "reroutes"), 0, "stats: {stats:?}");
+    assert_eq!(forwarded_counts(&mut control), [1, 1]);
+    // Losing the race is no failure: the owner is not charged.
+    assert!(shard_healthy(&stats, 0), "stats: {stats:?}");
+
+    drop(control);
+    router.shutdown();
+    real_owner.shutdown();
+    backup.shutdown();
 }

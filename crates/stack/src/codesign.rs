@@ -3,19 +3,14 @@
 //! "Co-design refers to the flow of information between different
 //! hardware and software stack layers, in order to improve the overall
 //! application execution and hardware design" (Tomesh & Martonosi,
-//! quoted in Section II). Concretely:
-//!
-//! * [`HardwareInfo`] — the low-level parameters exposed *upward*:
-//!   connectivity shape, calibration spread, native gate family;
-//! * [`AlgorithmInfo`] — the application profile handed *downward*: the
-//!   interaction-graph metric vector of Section IV;
-//! * [`select_mapper`] — the co-design decision point: picks placement
-//!   and routing strategies from both, making the compiler
-//!   hardware-aware *and* algorithm-driven.
+//! quoted in Section II). [`HardwareInfo`] holds the low-level
+//! parameters exposed *upward*: connectivity shape and calibration
+//! spread. The application profile handed *downward* is the
+//! interaction-graph metric vector of Section IV,
+//! [`qcs_core::profile::CircuitProfile`]. The compiler layer joins the
+//! two through the calibrated portfolio selector
+//! ([`qcs_core::portfolio`]) when a stack runs an `auto` config.
 
-use qcs_circuit::circuit::Circuit;
-use qcs_core::mapper::Mapper;
-use qcs_core::profile::CircuitProfile;
 use qcs_topology::device::Device;
 
 /// Hardware parameters flowing up the stack.
@@ -27,8 +22,7 @@ pub struct HardwareInfo {
     pub average_distance: f64,
     /// Coupling-graph diameter.
     pub diameter: usize,
-    /// Best − worst two-qubit fidelity: calibration *spread*, the signal
-    /// that noise-aware routing pays off.
+    /// Best − worst two-qubit fidelity: the calibration *spread*.
     pub two_qubit_fidelity_spread: f64,
 }
 
@@ -43,59 +37,6 @@ impl HardwareInfo {
             two_qubit_fidelity_spread: cal.best_two_qubit_fidelity()
                 - cal.worst_two_qubit_fidelity(),
         }
-    }
-}
-
-/// Application parameters flowing down the stack.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AlgorithmInfo {
-    /// The circuit's profile (size parameters + Table I metrics).
-    pub profile: CircuitProfile,
-}
-
-impl AlgorithmInfo {
-    /// Profiles a circuit.
-    pub fn of(circuit: &Circuit) -> Self {
-        AlgorithmInfo {
-            profile: CircuitProfile::of(circuit),
-        }
-    }
-
-    /// Whether the interaction graph is sparse enough that a
-    /// graph-similarity embedding can satisfy most pairs upfront
-    /// (heuristic: density below the threshold and bounded max degree).
-    pub fn is_sparse(&self) -> bool {
-        self.profile.metrics.density < 0.5 && self.profile.metrics.max_degree <= 6.0
-    }
-}
-
-/// The strategy actually chosen, for reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MapperChoice {
-    /// Algorithm-driven placement + look-ahead routing (sparse graphs).
-    AlgorithmDriven,
-    /// Trivial placement + look-ahead routing (dense graphs where no
-    /// embedding helps and placement time is wasted).
-    Lookahead,
-    /// Graph-similarity placement + noise-aware routing (devices with
-    /// significant calibration spread).
-    NoiseAware,
-}
-
-/// The co-design decision: selects mapping strategies from the algorithm
-/// profile and hardware parameters.
-///
-/// * large calibration spread → noise-aware routing (hardware-aware);
-/// * sparse interaction graph → graph-similarity placement
-///   (algorithm-driven);
-/// * otherwise → trivial placement with look-ahead routing.
-pub fn select_mapper(algorithm: &AlgorithmInfo, hardware: &HardwareInfo) -> (Mapper, MapperChoice) {
-    if hardware.two_qubit_fidelity_spread > 0.02 {
-        (Mapper::noise_aware(), MapperChoice::NoiseAware)
-    } else if algorithm.is_sparse() {
-        (Mapper::algorithm_driven(), MapperChoice::AlgorithmDriven)
-    } else {
-        (Mapper::lookahead(), MapperChoice::Lookahead)
     }
 }
 
@@ -121,39 +62,5 @@ mod tests {
         dev.calibration_mut().set_two_qubit_fidelity(0, 1, 0.9);
         let hw = HardwareInfo::of(&dev);
         assert!((hw.two_qubit_fidelity_spread - 0.09).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sparse_vs_dense_classification() {
-        let qaoa = qcs_workloads::qaoa::qaoa_maxcut_ring(8, 2, 1).unwrap();
-        assert!(AlgorithmInfo::of(&qaoa).is_sparse());
-        let qft = qcs_workloads::qft::qft(8).unwrap();
-        assert!(!AlgorithmInfo::of(&qft).is_sparse());
-    }
-
-    #[test]
-    fn codesign_selects_by_profile() {
-        let dev = surface17();
-        let hw = HardwareInfo::of(&dev);
-        let sparse = AlgorithmInfo::of(&qcs_workloads::ghz::ghz_chain(8).unwrap());
-        let (m, choice) = select_mapper(&sparse, &hw);
-        assert_eq!(choice, MapperChoice::AlgorithmDriven);
-        assert_eq!(m.placer_name(), "graph-similarity");
-        let dense = AlgorithmInfo::of(&qcs_workloads::qft::qft(8).unwrap());
-        let (m, choice) = select_mapper(&dense, &hw);
-        assert_eq!(choice, MapperChoice::Lookahead);
-        assert_eq!(m.placer_name(), "trivial");
-    }
-
-    #[test]
-    fn codesign_prefers_noise_awareness_on_spread() {
-        let mut dev = grid_device(3, 3);
-        dev.calibration_mut().set_two_qubit_fidelity(0, 1, 0.9);
-        // Re-derive: 0.99 − 0.9 = 0.09 > 0.02 threshold.
-        let hw = HardwareInfo::of(&dev);
-        let algo = AlgorithmInfo::of(&qcs_workloads::ghz::ghz_chain(4).unwrap());
-        let (m, choice) = select_mapper(&algo, &hw);
-        assert_eq!(choice, MapperChoice::NoiseAware);
-        assert_eq!(m.router_name(), "noise-aware");
     }
 }

@@ -10,10 +10,9 @@
 //!   or as [`qcs_circuit::Circuit`]s, with optional high-level
 //!   optimization.
 //! * [`codesign`] — the grey arrows of Fig. 1: hardware information
-//!   flowing *up* ([`codesign::HardwareInfo`]) and algorithm information
-//!   flowing *down* ([`codesign::AlgorithmInfo`]), joined by
-//!   [`codesign::select_mapper`], which picks mapping strategies from the
-//!   interaction-graph profile and device calibration.
+//!   flowing *up* ([`codesign::HardwareInfo`]); the algorithm
+//!   information flowing *down* is the Section IV profile
+//!   ([`qcs_core::profile::CircuitProfile`]).
 //! * [`isa`] — the eQASM-like executable ISA: the scheduled circuit
 //!   lowered to timestamped instructions with explicit waits.
 //! * [`microarch`] — the issue engine between ISA and analog channels:
@@ -22,7 +21,11 @@
 //!   dispatched onto shared analog channels, checking that the schedule
 //!   respects channel exclusivity.
 //! * [`pipeline`] — [`pipeline::FullStack`]: one call from source program
-//!   to control events plus the mapping report.
+//!   to control events plus the mapping report. Its compiler layer is
+//!   [`qcs_core::compile`], the call every `qcs-serve` job makes, so the
+//!   stack's mapping is verified, walks the fallback rungs, and runs the
+//!   calibrated portfolio for an `auto` config — the only mapper
+//!   selector in the workspace.
 //!
 //! # Examples
 //!
@@ -35,6 +38,7 @@
 //! let run = stack.run_qasm(qasm)?;
 //! assert!(run.isa.instruction_count() > 0);
 //! assert!(run.outcome.report.fidelity_after > 0.0);
+//! assert!(run.outcome.report.verified);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

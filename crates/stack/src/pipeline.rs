@@ -1,11 +1,24 @@
 //! The end-to-end full-stack run: program text to control events.
+//!
+//! The compiler layer is [`qcs_core::compile`], the same call every
+//! `qcs-serve` job makes: the stack's [`MapperConfig`] (the daemon's
+//! default unless [`FullStack::with_config`] overrides it) walks the
+//! backend's fallback rungs with verification on, and an `auto` config
+//! runs the calibrated portfolio. A Fig. 1 run and a daemon request for
+//! the same circuit, device and config therefore report the same
+//! mapping.
+
+use std::sync::Arc;
 
 use qcs_circuit::circuit::Circuit;
 use qcs_circuit::qasm::ParseQasmError;
-use qcs_core::mapper::{MapError, MapOutcome, Mapper};
+use qcs_core::backend::{Backend, CoupledBackend};
+use qcs_core::config::MapperConfig;
+use qcs_core::ladder::LadderError;
+use qcs_core::mapper::MapOutcome;
+use qcs_core::portfolio::PortfolioReport;
 use qcs_topology::device::Device;
 
-use crate::codesign::{select_mapper, AlgorithmInfo, HardwareInfo, MapperChoice};
 use crate::control::{ChannelConflict, ControlTrace};
 use crate::frontend::{Frontend, PreparedProgram};
 use crate::isa::{IsaProgram, DEFAULT_CYCLE_NS};
@@ -15,8 +28,9 @@ use crate::isa::{IsaProgram, DEFAULT_CYCLE_NS};
 pub enum StackError {
     /// Front-end parse failure.
     Parse(ParseQasmError),
-    /// Compiler (mapping) failure.
-    Map(MapError),
+    /// Compiler (mapping) failure: every rung failed, or the circuit is
+    /// unsatisfiable on the device.
+    Map(LadderError),
     /// Control dispatch failure (indicates a scheduler bug — dispatch of
     /// a consistent schedule cannot conflict).
     Control(ChannelConflict),
@@ -39,8 +53,8 @@ impl From<ParseQasmError> for StackError {
         StackError::Parse(e)
     }
 }
-impl From<MapError> for StackError {
-    fn from(e: MapError) -> Self {
+impl From<LadderError> for StackError {
+    fn from(e: LadderError) -> Self {
         StackError::Map(e)
     }
 }
@@ -55,9 +69,11 @@ impl From<ChannelConflict> for StackError {
 pub struct StackRun {
     /// The front-end's prepared program.
     pub prepared: PreparedProgram,
-    /// Which mapper the co-design layer selected.
-    pub mapper_choice: MapperChoice,
-    /// The compiler's outcome (routed circuit, schedule, report).
+    /// Portfolio accounting (serving lane, mode) when the stack's config
+    /// is `auto`; `None` for a fixed pipeline.
+    pub portfolio: Option<PortfolioReport>,
+    /// The compiler's verified outcome (routed circuit, schedule,
+    /// report naming the rung that served).
     pub outcome: MapOutcome,
     /// The lowered ISA program.
     pub isa: IsaProgram,
@@ -65,32 +81,42 @@ pub struct StackRun {
     pub control: ControlTrace,
 }
 
-/// The assembled full-stack: device at the bottom, co-design in the
+/// The assembled full-stack: device at the bottom, compiler in the
 /// middle, front-end on top.
-#[derive(Debug)]
 pub struct FullStack {
-    device: Device,
+    backend: Arc<dyn Backend>,
+    config: MapperConfig,
     frontend: Frontend,
-    /// When set, overrides the co-design mapper selection.
-    fixed_mapper: Option<Mapper>,
     cycle_ns: f64,
 }
 
+impl std::fmt::Debug for FullStack {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FullStack")
+            .field("backend", &self.backend.id())
+            .field("config", &self.config)
+            .field("frontend", &self.frontend)
+            .field("cycle_ns", &self.cycle_ns)
+            .finish()
+    }
+}
+
 impl FullStack {
-    /// Builds a stack over `device` with default front-end and co-design
-    /// mapper selection.
+    /// Builds a stack over `device` with the default front-end and the
+    /// daemon's default pipeline ([`MapperConfig::default`]).
     pub fn new(device: Device) -> Self {
         FullStack {
-            device,
+            backend: Arc::new(CoupledBackend::new(device)),
+            config: MapperConfig::default(),
             frontend: Frontend::default(),
-            fixed_mapper: None,
             cycle_ns: DEFAULT_CYCLE_NS,
         }
     }
 
-    /// Forces a specific mapper instead of the co-design selection.
-    pub fn with_mapper(mut self, mapper: Mapper) -> Self {
-        self.fixed_mapper = Some(mapper);
+    /// Compiles with `config` instead of the default pipeline; an `auto`
+    /// config lets the portfolio pick the lane per circuit.
+    pub fn with_config(mut self, config: MapperConfig) -> Self {
+        self.config = config;
         self
     }
 
@@ -113,7 +139,7 @@ impl FullStack {
 
     /// The device at the bottom of the stack.
     pub fn device(&self) -> &Device {
-        &self.device
+        self.backend.device()
     }
 
     /// Runs an OpenQASM program through the whole stack.
@@ -137,22 +163,13 @@ impl FullStack {
     }
 
     fn run_prepared(&self, prepared: PreparedProgram) -> Result<StackRun, StackError> {
-        // Co-design: join the upward hardware info with the downward
-        // algorithm info to pick the mapping strategy.
-        let (selected, choice) = select_mapper(
-            &AlgorithmInfo::of(&prepared.circuit),
-            &HardwareInfo::of(&self.device),
-        );
-        let (mapper, mapper_choice) = match &self.fixed_mapper {
-            Some(m) => (m, choice), // choice reported as advisory
-            None => (&selected, choice),
-        };
-        let outcome = mapper.map(&prepared.circuit, &self.device)?;
+        let (outcome, portfolio) =
+            qcs_core::compile(&prepared.circuit, &self.backend, &self.config, false, None)?;
         let isa = IsaProgram::lower(&outcome.schedule, self.cycle_ns);
         let control = ControlTrace::dispatch(&isa)?;
         Ok(StackRun {
             prepared,
-            mapper_choice,
+            portfolio,
             outcome,
             isa,
             control,
@@ -163,6 +180,7 @@ impl FullStack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qcs_core::mapper::StageTiming;
     use qcs_topology::lattice::line_device;
     use qcs_topology::surface::{surface17, surface7};
 
@@ -194,30 +212,44 @@ mod tests {
     }
 
     #[test]
-    fn fixed_mapper_override() {
-        let stack = FullStack::new(surface17()).with_mapper(Mapper::trivial());
+    fn config_override() {
+        let stack =
+            FullStack::new(surface17()).with_config(MapperConfig::new("trivial", "trivial"));
         let qft = qcs_workloads::qft::qft(6).unwrap();
         let run = stack.run_circuit(&qft).unwrap();
         assert_eq!(run.outcome.report.placer, "trivial");
         assert_eq!(run.outcome.report.router, "trivial");
+        assert!(run.portfolio.is_none());
     }
 
     #[test]
-    fn codesign_runs_sparse_circuits_algorithm_driven() {
+    fn stack_compiles_exactly_as_the_daemon_default() {
+        // A dense interaction graph (QFT-8) and a sparse one (GHZ-8):
+        // the stack takes the default pipeline for both.
+        let backend = CoupledBackend::new(surface17());
         let stack = FullStack::new(surface17());
-        let ghz = qcs_workloads::ghz::ghz_chain(8).unwrap();
-        let run = stack.run_circuit(&ghz).unwrap();
-        assert_eq!(
-            run.mapper_choice,
-            crate::codesign::MapperChoice::AlgorithmDriven
-        );
-        assert_eq!(run.outcome.report.placer, "graph-similarity");
+        for circuit in [
+            qcs_workloads::qft::qft(8).unwrap(),
+            qcs_workloads::ghz::ghz_chain(8).unwrap(),
+        ] {
+            let run = stack.run_circuit(&circuit).unwrap();
+            let expected = backend
+                .map(&run.prepared.circuit, &MapperConfig::default())
+                .unwrap();
+            let mut report = run.outcome.report;
+            let mut expected = expected.report;
+            report.timing = StageTiming::ZERO;
+            expected.timing = StageTiming::ZERO;
+            assert!(report.verified, "{}: unverified", circuit.name());
+            assert_eq!(report, expected, "{}", circuit.name());
+        }
     }
 
     #[test]
     fn mapped_program_verifies_against_simulator() {
         use qcs_rng::SeedableRng;
-        let stack = FullStack::new(line_device(5)).with_mapper(Mapper::trivial());
+        let stack =
+            FullStack::new(line_device(5)).with_config(MapperConfig::new("trivial", "trivial"));
         let mut c = Circuit::new(3);
         c.h(0).unwrap().cnot(0, 2).unwrap().cz(1, 2).unwrap();
         let run = stack.run_circuit(&c).unwrap();

@@ -1,5 +1,6 @@
 //! A complete full-stack run (Fig. 1): OpenQASM source in, control
-//! events out, with the co-design layer choosing the mapper.
+//! events out, compiled by the same verified pipeline a `qcs-serve`
+//! request runs.
 //!
 //! Run with: `cargo run --example fullstack_run`
 
@@ -37,11 +38,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         run.prepared.optimization.merged,
     );
 
-    println!("\n=== layer 2: co-design decision ===");
-    println!("selected mapping strategy: {:?}", run.mapper_choice);
+    println!("\n=== layer 2: compiler pipeline ===");
     println!(
-        "placer = {}, router = {}",
-        run.outcome.report.placer, run.outcome.report.router
+        "placer = {}, router = {}, fallback rung {}, verified: {}",
+        run.outcome.report.placer,
+        run.outcome.report.router,
+        run.outcome.report.fallback_rung,
+        run.outcome.report.verified
     );
 
     println!("\n=== layer 3: compiler (mapping) ===");

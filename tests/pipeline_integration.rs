@@ -2,8 +2,7 @@
 //! layer's invariants checked against the one below it.
 
 use nisq_codesign::circuit::qasm;
-use nisq_codesign::core::mapper::Mapper;
-use nisq_codesign::stack::codesign::MapperChoice;
+use nisq_codesign::core::config::MapperConfig;
 use nisq_codesign::stack::control::ControlTrace;
 use nisq_codesign::stack::pipeline::{FullStack, StackError};
 use nisq_codesign::topology::lattice::grid_device;
@@ -49,7 +48,7 @@ measure q[4] -> c[4];
 fn stack_serializes_back_to_qasm() {
     // The routed physical circuit can be printed as QASM and re-parsed —
     // the interchange loop a real toolchain needs.
-    let stack = FullStack::new(surface7()).with_mapper(Mapper::trivial());
+    let stack = FullStack::new(surface7()).with_config(MapperConfig::new("trivial", "trivial"));
     let circuit = nisq_codesign::workloads::ghz::ghz_chain(4).unwrap();
     let run = stack.run_circuit(&circuit).expect("runs");
     let text = qasm::print(&run.outcome.routed.circuit);
@@ -59,13 +58,18 @@ fn stack_serializes_back_to_qasm() {
 
 #[test]
 fn codesign_choice_varies_with_workload() {
-    let stack = FullStack::new(surface17());
+    // Under `auto` the calibrated portfolio picks the lane per circuit
+    // from its interaction-graph metrics.
+    let stack = FullStack::new(surface17()).with_config(MapperConfig::new("auto", "auto"));
+    let lane = |circuit| {
+        let run = stack.run_circuit(circuit).expect("runs");
+        assert!(run.outcome.report.verified);
+        run.portfolio.expect("auto runs the portfolio").lane
+    };
     let sparse = nisq_codesign::workloads::vqe::hardware_efficient_ansatz(8, 2, 1).unwrap();
     let dense = nisq_codesign::workloads::qft::qft(8).unwrap();
-    let run_sparse = stack.run_circuit(&sparse).expect("sparse runs");
-    let run_dense = stack.run_circuit(&dense).expect("dense runs");
-    assert_eq!(run_sparse.mapper_choice, MapperChoice::AlgorithmDriven);
-    assert_eq!(run_dense.mapper_choice, MapperChoice::Lookahead);
+    assert_eq!(lane(&sparse), "trivial");
+    assert_eq!(lane(&dense), "sabre");
 }
 
 #[test]
